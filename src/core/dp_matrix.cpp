@@ -8,7 +8,16 @@
 
 namespace omega::core {
 
+namespace {
+
+/// Relocation compacts once the stale prefix exceeds 1/kCompactSlack of the
+/// live rows; below that the base just advances over the stale rows.
+constexpr std::size_t kCompactSlack = 8;
+
+}  // namespace
+
 void DpMatrix::reset(std::size_t base) {
+  origin_ = base;
   base_ = base;
   count_ = 0;
   storage_.clear();
@@ -22,10 +31,7 @@ double DpMatrix::at(std::size_t gi, std::size_t gj) const {
         ") outside covered range [" + std::to_string(base_) + ", " +
         std::to_string(end()) + ") with j <= i");
   }
-  const std::size_t i = gi - base_;
-  const std::size_t j = gj - base_;
-  if (i == j) return 0.0;
-  return storage_[row_offset(i) + j];
+  return at_fast(gi, gj);
 }
 
 void DpMatrix::relocate(std::size_t new_base) {
@@ -33,30 +39,29 @@ void DpMatrix::relocate(std::size_t new_base) {
     throw std::invalid_argument("DpMatrix::relocate cannot move base backward");
   }
   const std::size_t delta = new_base - base_;
-  if (delta == 0) {
-    // Same anchor: the whole triangle is reused as-is.
-    ++stats_.relocations;
-    stats_.cells_reused += storage_.size();
-    return;
-  }
-  if (delta >= count_) {
+  if (delta > 0 && delta >= count_) {
     reset(new_base);  // no overlap survives; counts as a reset
     return;
   }
-  const std::size_t new_count = count_ - delta;
+  // The kept rows stay where they are: the base advances over a stale prefix.
+  count_ -= delta;
+  base_ = new_base;
   ++stats_.relocations;
-  stats_.cells_reused += row_offset(new_count);
-  // Row i' of the relocated triangle holds old row (i' + delta) entries
-  // [delta, delta + i'). Rows move front-to-back; the destination offset is
-  // always strictly below the source, so in-place copies are safe.
-  for (std::size_t i = 1; i < new_count; ++i) {
+  stats_.cells_reused += row_offset(count_);
+  const std::size_t stale = base_ - origin_;
+  if (stale * kCompactSlack <= count_) return;
+  // Compaction. Row i' of the compacted triangle holds storage row
+  // (i' + stale) entries [stale, stale + i'). Rows move front-to-back; the
+  // destination offset is always strictly below the source, so in-place
+  // copies are safe.
+  for (std::size_t i = 1; i < count_; ++i) {
     std::memmove(storage_.data() + row_offset(i),
-                 storage_.data() + row_offset(i + delta) + delta,
+                 storage_.data() + row_offset(i + stale) + stale,
                  i * sizeof(double));
   }
-  count_ = new_count;
-  base_ = new_base;
-  storage_.resize(row_offset(new_count));
+  origin_ = base_;
+  storage_.resize(row_offset(count_));
+  ++stats_.compactions;
 }
 
 void DpMatrix::extend(std::size_t new_end, const ld::LdEngine& engine,
@@ -66,8 +71,9 @@ void DpMatrix::extend(std::size_t new_end, const ld::LdEngine& engine,
   const std::size_t old_count = count_;
   const std::size_t new_count = new_end - base_;
   const std::size_t new_rows = new_count - old_count;
+  const std::size_t stale = base_ - origin_;
   stats_.cells_recomputed += row_offset(new_count) - row_offset(old_count);
-  storage_.resize(row_offset(new_count));
+  storage_.resize(row_offset(stale + new_count));
 
   // Fetch r2 for all (new row, column) pairs in one engine call; columns span
   // the full final width so the recurrence below has every value it needs.
@@ -94,10 +100,14 @@ void DpMatrix::extend(std::size_t new_end, const ld::LdEngine& engine,
   // the float results identical for any pool size and any matrix base
   // (relocation tests compare them bitwise). Phase 2 adds each previous row
   // in ascending order — a unit-stride vector add replacing the old 4-term
-  // per-cell chain.
+  // per-cell chain. Rows are written from their live column on; the stale
+  // columns [origin, base) of new rows are never read.
   const std::size_t first = old_count == 0 ? 1 : old_count;
+  const auto live_row = [&](std::size_t i) {
+    return storage_.data() + row_offset(stale + i) + stale;
+  };
   const auto suffix_row = [&](std::size_t i) {
-    double* row = storage_.data() + row_offset(i);
+    double* row = live_row(i);
     const float* r2_row = r2_scratch_.data() + (i - old_count) * ld_r2;
     double acc = 0.0;
     for (std::size_t j = i; j-- > 0;) {
@@ -113,8 +123,8 @@ void DpMatrix::extend(std::size_t new_end, const ld::LdEngine& engine,
     for (std::size_t i = first; i < new_count; ++i) suffix_row(i);
   }
   for (std::size_t i = first; i < new_count; ++i) {
-    double* row = storage_.data() + row_offset(i);
-    const double* prev = storage_.data() + row_offset(i - 1);
+    double* row = live_row(i);
+    const double* prev = live_row(i - 1);
     // Previous row holds columns 0 .. i-2; column i-1 adds the implicit
     // zero diagonal M(i-1, i-1), so the suffix value already stored is final.
     for (std::size_t j = 0; j + 1 < i; ++j) row[j] += prev[j];

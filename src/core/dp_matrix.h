@@ -15,10 +15,18 @@
 // inside [j, i], so the relocated entries stay valid) and only rows for new
 // SNPs are computed.
 //
-// Storage is a packed lower triangle addressed by *global* SNP indices so the
-// scanner never translates coordinates. Entries are double: the CPU side is
-// the precision reference; accelerator backends consume float casts of these
-// sums exactly as OmegaPlus's host code feeds its accelerators.
+// Relocation is lazy. Storage is a packed lower triangle anchored at a
+// storage origin <= base: advancing the base only moves the anchor of the
+// live window, leaving a stale prefix of rows and columns [origin, base) in
+// place. The kept sub-triangle is compacted to the front (one memmove per
+// row) only once the stale prefix exceeds 1/8 of the live row count, so the
+// copy cost is amortized over many grid positions while the storage stays
+// within (9/8)^2 of the live triangle.
+//
+// Accessors take *global* SNP indices so the scanner never translates
+// coordinates. Entries are double: the CPU side is the precision reference;
+// accelerator backends consume float casts of these sums exactly as
+// OmegaPlus's host code feeds its accelerators.
 
 #include <cstdint>
 #include <vector>
@@ -39,6 +47,7 @@ struct DpMatrixStats {
   std::uint64_t relocations = 0;       // relocate() calls that kept cells
   std::uint64_t cells_reused = 0;      // entries carried over by relocation
   std::uint64_t cells_recomputed = 0;  // entries computed by extend()
+  std::uint64_t compactions = 0;       // relocations that moved the triangle
 };
 
 class DpMatrix {
@@ -64,8 +73,8 @@ class DpMatrix {
   /// Unchecked accessor for the omega nested loop (the scan hot path); the
   /// caller guarantees base() <= gj <= gi < end().
   [[nodiscard]] double at_fast(std::size_t gi, std::size_t gj) const noexcept {
-    const std::size_t i = gi - base_;
-    const std::size_t j = gj - base_;
+    const std::size_t i = gi - origin_;
+    const std::size_t j = gj - origin_;
     return i == j ? 0.0 : storage_[row_offset(i) + j];
   }
 
@@ -75,11 +84,13 @@ class DpMatrix {
   /// only read columns strictly below gi. Caller guarantees
   /// base() <= gi < end().
   [[nodiscard]] const double* row_data(std::size_t gi) const noexcept {
-    return storage_.data() + row_offset(gi - base_);
+    return storage_.data() + row_offset(gi - origin_) + (base_ - origin_);
   }
 
-  /// Drops all state before `new_base` (new_base >= base). The kept
-  /// sub-triangle is moved in place — this is the OmegaPlus relocation.
+  /// Drops all state before `new_base` (new_base >= base) — the OmegaPlus
+  /// relocation. Only the base advances; the kept sub-triangle is compacted
+  /// in place once the stale prefix [origin, base) exceeds 1/8 of the live
+  /// rows, so most calls copy nothing.
   void relocate(std::size_t new_base);
 
   /// Grows coverage to [base, new_end) computing new rows via the Eq. (3)
@@ -101,7 +112,8 @@ class DpMatrix {
   /// Lifetime reset/relocate/extend accounting (reuse observability).
   [[nodiscard]] const DpMatrixStats& stats() const noexcept { return stats_; }
 
-  /// Bytes currently held by the triangle.
+  /// Bytes currently held by the triangle, including the stale prefix not
+  /// yet compacted away: at most (9/8)^2 of the live triangle.
   [[nodiscard]] std::size_t bytes() const noexcept {
     return storage_.size() * sizeof(double);
   }
@@ -112,9 +124,11 @@ class DpMatrix {
     return i * (i - 1) / 2;
   }
 
+  std::size_t origin_ = 0;  // global index of storage row 0; <= base_
   std::size_t base_ = 0;
   std::size_t count_ = 0;
-  std::vector<double> storage_;  // packed lower triangle, diagonal implicit 0
+  std::vector<double> storage_;  // packed lower triangle from origin_,
+                                 // diagonal implicit 0
   std::vector<float> r2_scratch_;  // reusable extend() fetch buffer
   std::uint64_t r2_fetches_ = 0;
   DpMatrixStats stats_;

@@ -236,7 +236,7 @@ struct PositionScore {
 /// is therefore excluded from sum().
 struct StageTimes {
   double ld_reset_seconds = 0.0;     // full DP-matrix rebuilds
-  double ld_relocate_seconds = 0.0;  // in-place triangle moves (data reuse)
+  double ld_relocate_seconds = 0.0;  // base advance plus amortized compaction
   double ld_extend_seconds = 0.0;    // r2 fetches + Eq. (3) recurrence
   double omega_search_seconds = 0.0; // backend omega maximization
   double dispatch_seconds = 0.0;     // accelerator pack + kernel dispatch

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/dp_matrix.h"
 #include "core/grid.h"
@@ -139,6 +141,67 @@ TEST(DpMatrix, RelocationPreservesValues) {
       ASSERT_DOUBLE_EQ(moved.at(i, j), fresh.at(i, j)) << i << "," << j;
     }
   }
+}
+
+// A chain of small relocations, each followed by an extend: the stale prefix
+// grows under the compaction threshold, then crosses it several times. After
+// every step the lazily relocated matrix must match one built fresh at the
+// same base bit for bit, through both at() and row_data().
+TEST(DpMatrix, LazyRelocationChainMatchesFreshBitwise) {
+  const Dataset d = test_dataset(400, 24, 14);
+  const omega::ld::SnpMatrix snps(d);
+  const omega::ld::PopcountLd engine(snps);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  // Storage holds at most a 1/8 stale prefix on top of the live rows.
+  const auto bytes_bound = [](std::size_t count) {
+    const std::size_t rows = count + count / 8 + 1;
+    return sizeof(double) * rows * (rows - 1) / 2;
+  };
+
+  DpMatrix lazy;
+  lazy.reset(0);
+  lazy.extend(64, engine);
+  std::size_t origin = 0;  // storage anchor, tracked from the stats
+  const std::size_t deltas[] = {1, 2, 1, 3, 2, 1, 1, 3};
+  for (std::size_t step = 0; step < 48; ++step) {
+    const std::size_t delta = deltas[step % std::size(deltas)];
+    const std::uint64_t compactions = lazy.stats().compactions;
+    const std::size_t base = lazy.base() + delta;
+    const std::size_t end = lazy.end() + delta + step % 2;
+    lazy.relocate(base);
+    if (lazy.stats().compactions != compactions) origin = base;
+    ASSERT_LE(lazy.bytes(), bytes_bound(lazy.count())) << step;
+    lazy.extend(end, engine);
+    ASSERT_EQ(lazy.base(), base);
+    ASSERT_EQ(lazy.end(), end);
+    ASSERT_LE(lazy.bytes(), bytes_bound(lazy.count())) << step;
+
+    DpMatrix fresh;
+    fresh.reset(base);
+    fresh.extend(end, engine);
+    for (std::size_t i = base; i < end; ++i) {
+      const double* lazy_row = lazy.row_data(i);
+      const double* fresh_row = fresh.row_data(i);
+      for (std::size_t j = base; j <= i; ++j) {
+        ASSERT_EQ(bits(lazy.at(i, j)), bits(fresh.at(i, j)))
+            << "step " << step << " M(" << i << "," << j << ")";
+        if (j < i) {
+          ASSERT_EQ(bits(lazy_row[j - base]), bits(fresh_row[j - base]))
+              << "step " << step << " row " << i << " col " << j;
+        }
+      }
+    }
+    for (std::size_t g = origin; g < base; ++g) {
+      EXPECT_THROW((void)lazy.at(g, g), std::out_of_range) << g;
+      EXPECT_THROW((void)lazy.at(end - 1, g), std::out_of_range) << g;
+    }
+  }
+  // Both relocation paths ran: most steps only advanced the base, and the
+  // threshold was crossed several times.
+  const omega::core::DpMatrixStats& stats = lazy.stats();
+  EXPECT_EQ(stats.relocations, 48u);
+  EXPECT_GE(stats.compactions, 3u);
+  EXPECT_LT(stats.compactions, stats.relocations / 2);
 }
 
 TEST(DpMatrix, RelocationSavesFetches) {
