@@ -268,7 +268,6 @@ int run_scan(const omega::util::Cli& cli, const std::string& name,
   const std::string backend = cli.get("backend", "cpu");
   omega::core::ScanResult result;
   std::string backend_name = "cpu";
-  omega::par::ThreadPool pool;
   // One dispatch for both drivers: the streamed and in-memory scans take the
   // same options and backend factories.
   const auto run =
@@ -290,6 +289,9 @@ int run_scan(const omega::util::Cli& cli, const std::string& name,
     omega::hw::gpu::GpuBackendOptions backend_options;
     backend_options.fault_plan = fault_plan;
     backend_options.modeled_timeout_seconds = modeled_timeout;
+    // The simulated device's work-items; only the accelerator backends
+    // start pool threads, so a 1-thread CPU scan runs on the caller alone.
+    omega::par::ThreadPool pool;
     omega::hw::gpu::GpuOmegaBackend gpu(spec, pool, backend_options);
     result = run([&] { return omega::core::borrow_backend(gpu); });
     backend_name = gpu.name();
@@ -311,7 +313,7 @@ int run_scan(const omega::util::Cli& cli, const std::string& name,
                 static_cast<unsigned long long>(fpga.accounting().hw_omegas),
                 static_cast<unsigned long long>(fpga.accounting().sw_omegas));
   } else if (backend == "hetero") {
-    // Heterogeneous co-scheduler: the grid splits across the CPU span engine
+    // Heterogeneous co-scheduler: the grid splits across the CPU workers
     // and both simulated accelerators concurrently (core/hetero_scheduler.h);
     // results are bitwise-identical to --backend=cpu for any split.
     omega::hw::HeteroProfileOptions profile_options;
@@ -325,6 +327,7 @@ int run_scan(const omega::util::Cli& cli, const std::string& name,
     profile_options.fault_plan = fault_plan;
     profile_options.cancel = options.cancel;
     profile_options.cpu_kernel = options.cpu_kernel;
+    omega::par::ThreadPool pool;  // backs the GPU-sim partition
     const omega::core::HeteroConfig hetero_config =
         omega::hw::default_hetero_config(profile_options, pool);
     options.hetero = &hetero_config;
@@ -481,9 +484,9 @@ int main(int argc, char** argv) {
                 "wall-clock budget for the scan; expiry drains cleanly and "
                 "exits 11 with a partial report (0 = no deadline)")
       .describe("ld-engine",
-                "LD engine: auto | naive | popcount | gemm | packed "
+                "LD engine: auto | naive | popcount | packed "
                 "(default auto = packed with runtime AVX2/scalar dispatch)")
-      .describe("ld", "legacy alias of --ld-engine (popcount | gemm)")
+      .describe("ld", "legacy alias of --ld-engine")
       .describe("backend", "cpu | gpu | fpga | hetero (default cpu)")
       .describe("hetero-split",
                 "hetero backend grid split: auto (modeled throughput) or "

@@ -458,7 +458,6 @@ void restore_profile_totals(ScanProfile& profile, const ScanProfile& totals) {
   profile.stream.io_seconds += totals.stream.io_seconds;
   profile.stream.io_stall_seconds += totals.stream.io_stall_seconds;
   profile.stream.compute_seconds += totals.stream.compute_seconds;
-  profile.stream.seam_carryovers += totals.stream.seam_carryovers;
   profile.stream.failed_chunks += totals.stream.failed_chunks;
   if (profile.sched.workers_detail.size() <
       totals.sched.workers_detail.size()) {

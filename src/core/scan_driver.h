@@ -1,10 +1,10 @@
 #pragma once
-// Internal glue shared by the two scan drivers: the in-memory scan
-// (scanner.cpp) and the streaming chunked scan (stream_scanner.cpp). Both
-// must advance the DP matrix, run the recovery-wrapped backend search, and
-// account profiles through the exact same code — any divergence here would
-// silently break the streamed-equals-in-memory bitwise guarantee the
-// streaming subsystem is tested against.
+// Internal glue shared by the two scan drivers — the in-memory scan
+// (scanner.cpp) and the streaming chunked scan (stream_scanner.cpp) — and
+// their one position loop (core/scan_executor.h): DP-matrix advance, the
+// recovery-wrapped backend search, profile merging, and the end-of-scan
+// tail. Any divergence here would silently break the streamed-equals-in-
+// memory bitwise guarantee the streaming subsystem is tested against.
 //
 // Not installed API; include only from src/core/*.cpp.
 
@@ -16,6 +16,7 @@
 #include "ld/ld_engine.h"
 #include "par/thread_pool.h"
 #include "util/cancel.h"
+#include "util/telemetry.h"
 #include "util/timer.h"
 
 namespace omega::core::detail {
@@ -35,6 +36,9 @@ struct CancelState {
   util::Timer since_start;
   mutable std::atomic<bool> observed{false};
   mutable std::atomic<double> observed_seconds{0.0};
+  /// The drain latency reaches its histogram once per scan, however many
+  /// times finish_profile runs (checkpoint snapshots included).
+  mutable std::atomic<bool> latency_recorded{false};
 
   [[nodiscard]] bool enabled() const noexcept { return token != nullptr; }
 
@@ -67,32 +71,27 @@ struct CancelState {
 void init_cancel_state(CancelState& cancel, const ScannerOptions& options,
                        util::CancelToken& internal);
 
-/// End-of-scan runtime accounting shared by scan() and stream_scan():
-/// cancellation flags/reason/latency, deadline outcome, and the
-/// skipped-position census that defines `partial`. Records the drain latency
-/// into the "runtime.cancel_latency_seconds" telemetry histogram.
-void finalize_runtime(ScanProfile& profile, const CancelState& cancel,
-                      double deadline_seconds,
-                      const std::vector<GridPosition>& grid,
-                      const std::vector<PositionScore>& scores);
-
-/// End-of-scan LD accounting shared by scan() and stream_scan(): fills
-/// ScanProfile::ld (schema v9) from the options and the scan-attributed
-/// telemetry delta. Call after profile.telemetry has been assigned.
-void finalize_ld_stats(ScanProfile& profile, const ScannerOptions& options);
-
-/// End-of-scan hardware-counter accounting shared by scan() and
-/// stream_scan(): fills ScanProfile::perf (schema v11) from the
-/// scan-attributed telemetry delta's perf.<stage>.* counters. Like
-/// finalize_ld_stats, call after profile.telemetry has been assigned; the
-/// block stays disabled when util::perf was never enabled.
-void finalize_perf_stats(ScanProfile& profile);
+/// End-of-scan tail shared by scan() and stream_scan() — the end of a
+/// scan, the empty-plan stream, every checkpoint totals snapshot, and the end
+/// of a stream: runtime accounting (cancellation flags/reason/latency,
+/// deadline outcome, the skipped-position census that defines `partial`),
+/// the wall clock, the scan-attributed telemetry delta (merged with the
+/// telemetry a resumed checkpoint carried), and the ld (schema v9) and perf
+/// (schema v11) blocks derived from that delta.
+void finish_profile(ScanProfile& profile, const CancelState& cancel,
+                    const ScannerOptions& options,
+                    const std::vector<GridPosition>& grid,
+                    const std::vector<PositionScore>& scores,
+                    double total_seconds,
+                    const util::telemetry::RegistrySnapshot& telemetry_begin,
+                    const util::telemetry::RegistrySnapshot& resumed_telemetry =
+                        {});
 
 /// Advances the DP matrix to `position`: the single home of the
-/// reset-vs-relocate policy, shared by every MT strategy and by the stream
-/// driver so the relocation behaviour cannot silently diverge between them.
-/// Stage wall time is accumulated into `stages`.
-void advance_matrix(DpMatrix& m, bool& m_live, bool reuse,
+/// reset-vs-relocate policy. Stage wall time is accumulated into `stages`;
+/// `pool` (optional) helps with large extends. Returns true when the live
+/// matrix was relocated rather than rebuilt.
+bool advance_matrix(DpMatrix& m, bool& m_live, bool reuse,
                     const GridPosition& position, const ld::LdEngine& engine,
                     StageTimes& stages, par::ThreadPool* pool = nullptr);
 
@@ -105,14 +104,17 @@ void merge_matrix_stats(ScanProfile& profile, const DpMatrix& m);
 void merge_worker_profile(ScanProfile& into, const ScanProfile& from);
 
 /// Runs the recovery-wrapped omega search for one valid grid position and
-/// records the outcome into `score` (valid on success, quarantined on
-/// exhaustion) and `profile` (omega_search_seconds, evaluations,
-/// positions_scanned, fault counters). When `progress` is non-null, reports
-/// one position (plus fault/quarantine deltas) to it. Returns score.valid.
+/// records the outcome into `score` (valid on success) and `profile`
+/// (omega_search_seconds, evaluations, positions_scanned, fault counters).
+/// Exhausted recovery quarantines the position when `quarantine` is set;
+/// otherwise (an accelerator whose remainder the CPU re-scores) the score
+/// stays unsettled and the quarantine charge is undone. When `progress` is
+/// non-null, reports the settled position (plus fault/quarantine deltas) to
+/// it. Returns score.valid.
 bool score_position(OmegaBackend& backend, const DpMatrix& m,
                     const GridPosition& position,
                     const RecoveryPolicy& recovery, ScanProfile& profile,
-                    PositionScore& score,
-                    util::ProgressReporter* progress = nullptr);
+                    PositionScore& score, util::ProgressReporter* progress,
+                    bool quarantine = true);
 
 }  // namespace omega::core::detail

@@ -6,12 +6,10 @@
 #include <string_view>
 #include <thread>
 
-#include "core/hetero_scheduler.h"
 #include "core/resilience.h"
 #include "core/scan_driver.h"
-#include "core/span_engine.h"
+#include "core/scan_executor.h"
 #include "ld/packed.h"
-#include "par/thread_pool.h"
 #include "util/flight_recorder.h"
 #include "util/perf_counters.h"
 #include "util/progress.h"
@@ -39,8 +37,6 @@ const char* ld_backend_name(LdBackendKind kind) noexcept {
       return "naive";
     case LdBackendKind::Popcount:
       return "popcount";
-    case LdBackendKind::Gemm:
-      return "gemm";
     case LdBackendKind::Packed:
       return "packed";
     case LdBackendKind::Auto:
@@ -52,12 +48,10 @@ const char* ld_backend_name(LdBackendKind kind) noexcept {
 LdBackendKind ld_backend_from_name(std::string_view name) {
   if (name == "naive") return LdBackendKind::Naive;
   if (name == "popcount") return LdBackendKind::Popcount;
-  if (name == "gemm") return LdBackendKind::Gemm;
   if (name == "packed") return LdBackendKind::Packed;
   if (name == "auto") return LdBackendKind::Auto;
   throw std::invalid_argument("unknown LD engine: " + std::string(name) +
-                              " (expected auto | naive | popcount | gemm | "
-                              "packed)");
+                              " (expected auto | naive | popcount | packed)");
 }
 
 std::unique_ptr<ld::LdEngine> make_ld_engine(LdBackendKind kind,
@@ -68,8 +62,6 @@ std::unique_ptr<ld::LdEngine> make_ld_engine(LdBackendKind kind,
       return std::make_unique<ld::NaiveLd>(dataset);
     case LdBackendKind::Popcount:
       return std::make_unique<ld::PopcountLd>(snps);
-    case LdBackendKind::Gemm:
-      return std::make_unique<ld::GemmLd>(snps);
     case LdBackendKind::Packed:
       return std::make_unique<ld::PackedLd>(snps);
     case LdBackendKind::Auto:
@@ -80,7 +72,7 @@ std::unique_ptr<ld::LdEngine> make_ld_engine(LdBackendKind kind,
 
 namespace detail {
 
-void advance_matrix(DpMatrix& m, bool& m_live, bool reuse,
+bool advance_matrix(DpMatrix& m, bool& m_live, bool reuse,
                     const GridPosition& position, const ld::LdEngine& engine,
                     StageTimes& stages, par::ThreadPool* pool) {
   // Per-stage latency distributions; resolved once, then lock-free records.
@@ -101,7 +93,8 @@ void advance_matrix(DpMatrix& m, bool& m_live, bool reuse,
       util::perf::stage("scan.relocate");
   static util::perf::StageCounters& extend_perf =
       util::perf::stage("scan.extend");
-  if (!reuse || !m_live || position.lo < m.base()) {
+  const bool relocate = reuse && m_live && position.lo >= m.base();
+  if (!relocate) {
     const util::trace::Span span("scan.ld.reset");
     const util::perf::StageScope perf_scope(reset_perf);
     const util::Timer timer;
@@ -128,6 +121,7 @@ void advance_matrix(DpMatrix& m, bool& m_live, bool reuse,
     extend_hist.record(elapsed);
   }
   m_live = true;
+  return relocate;
 }
 
 void merge_matrix_stats(ScanProfile& profile, const DpMatrix& m) {
@@ -148,6 +142,7 @@ void merge_worker_profile(ScanProfile& into, const ScanProfile& from) {
   into.omega_evaluations += from.omega_evaluations;
   into.r2_fetched += from.r2_fetched;
   into.positions_scanned += from.positions_scanned;
+  into.stream.seam_carryovers += from.stream.seam_carryovers;
   into.stages.ld_reset_seconds += from.stages.ld_reset_seconds;
   into.stages.ld_relocate_seconds += from.stages.ld_relocate_seconds;
   into.stages.ld_extend_seconds += from.stages.ld_extend_seconds;
@@ -202,6 +197,8 @@ void init_cancel_state(CancelState& cancel, const ScannerOptions& options,
   }
 }
 
+namespace {
+
 void finalize_runtime(ScanProfile& profile, const CancelState& cancel,
                       double deadline_seconds,
                       const std::vector<GridPosition>& grid,
@@ -225,7 +222,10 @@ void finalize_runtime(ScanProfile& profile, const CancelState& cancel,
           cancel.observed_seconds.load(std::memory_order_acquire);
       static util::telemetry::Histogram& latency_hist =
           util::telemetry::histogram("runtime.cancel_latency_seconds");
-      latency_hist.record(runtime.cancel_latency_seconds);
+      if (!cancel.latency_recorded.exchange(true,
+                                            std::memory_order_acq_rel)) {
+        latency_hist.record(runtime.cancel_latency_seconds);
+      }
     }
   }
   if (deadline_seconds > 0.0) {
@@ -305,10 +305,29 @@ void finalize_perf_stats(ScanProfile& profile) {
   }
 }
 
+}  // namespace
+
+void finish_profile(ScanProfile& profile, const CancelState& cancel,
+                    const ScannerOptions& options,
+                    const std::vector<GridPosition>& grid,
+                    const std::vector<PositionScore>& scores,
+                    double total_seconds,
+                    const util::telemetry::RegistrySnapshot& telemetry_begin,
+                    const util::telemetry::RegistrySnapshot& resumed_telemetry) {
+  finalize_runtime(profile, cancel, options.deadline_seconds, grid, scores);
+  profile.total_seconds = total_seconds;
+  profile.telemetry = util::telemetry::snapshot()
+                          .delta_since(telemetry_begin)
+                          .merged_with(resumed_telemetry);
+  finalize_ld_stats(profile, options);
+  finalize_perf_stats(profile);
+}
+
 bool score_position(OmegaBackend& backend, const DpMatrix& m,
                     const GridPosition& position,
                     const RecoveryPolicy& recovery, ScanProfile& profile,
-                    PositionScore& score, util::ProgressReporter* progress) {
+                    PositionScore& score, util::ProgressReporter* progress,
+                    bool quarantine) {
   const std::uint64_t faults_before =
       profile.faults.errors_caught + profile.faults.invalid_results;
   RecoveryOutcome outcome;
@@ -321,15 +340,20 @@ bool score_position(OmegaBackend& backend, const DpMatrix& m,
     outcome = recover_max_omega(backend, m, position, recovery, profile.faults);
     profile.stages.omega_search_seconds += timer.seconds();
   }
+  const bool settled = outcome.ok || quarantine;
+  // recover_max_omega charged a quarantine; a re-dispatched position is not
+  // one.
+  if (!settled) --profile.faults.quarantined_positions;
   if (progress != nullptr) {
     util::ProgressReporter::Delta delta;
-    delta.positions = 1;
+    delta.positions = settled ? 1 : 0;
     delta.faults = profile.faults.errors_caught +
                    profile.faults.invalid_results - faults_before;
-    delta.quarantined = outcome.ok ? 0 : 1;
+    delta.quarantined = !outcome.ok && quarantine ? 1 : 0;
     progress->advance(delta);
   }
   if (!outcome.ok) {
+    if (!quarantine) return false;
     score.quarantined = true;
     // Exhausted recovery is a flight-recorder trigger: the first quarantine
     // since arm() dumps the black box (later ones only bump the counter).
@@ -347,83 +371,6 @@ bool score_position(OmegaBackend& backend, const DpMatrix& m,
 }
 
 }  // namespace detail
-
-namespace {
-
-using detail::advance_matrix;
-using detail::merge_matrix_stats;
-using detail::merge_worker_profile;
-using detail::score_position;
-
-/// Scans a contiguous chunk of grid positions with its own DP matrix. Every
-/// backend call goes through the recovery engine: transient failures retry
-/// (virtual-clock backoff), exhausted positions are quarantined instead of
-/// aborting the scan.
-void scan_chunk(const std::vector<GridPosition>& grid, std::size_t begin,
-                std::size_t end, const ld::LdEngine& engine, bool reuse,
-                const RecoveryPolicy& recovery, OmegaBackend& backend,
-                std::vector<PositionScore>& scores, ScanProfile& profile,
-                util::ProgressReporter* progress,
-                const detail::CancelState* cancel = nullptr) {
-  DpMatrix m;
-  bool m_live = false;
-
-  try {
-    for (std::size_t g = begin; g < end; ++g) {
-      if (cancel != nullptr && cancel->should_stop()) break;
-      const GridPosition& position = grid[g];
-      PositionScore& score = scores[g];
-      score.position_bp = position.position_bp;
-      if (!position.valid) continue;
-
-      advance_matrix(m, m_live, reuse, position, engine, profile.stages);
-      score_position(backend, m, position, recovery, profile, score, progress);
-    }
-  } catch (const util::CancelledError&) {
-    // A simulator backend observed the cancel mid-launch; the position in
-    // flight stays unscored (neither valid nor quarantined) and the drain
-    // proceeds with whatever is settled so far.
-  }
-  profile.ld_seconds += profile.stages.ld_total();
-  profile.omega_seconds += profile.stages.omega_search_seconds;
-  merge_matrix_stats(profile, m);
-  backend.contribute(profile);
-  profile.omega_backend = backend.name();
-}
-
-/// Adapter presenting the intra-position parallel search as an OmegaBackend
-/// so the InnerPosition driver shares the recovery engine. Routes through the
-/// dispatched kernel layer like CpuOmegaBackend and accounts evaluations the
-/// same way.
-class InnerPositionBackend final : public OmegaBackend {
- public:
-  InnerPositionBackend(par::ThreadPool& pool, CpuKernelKind kind)
-      : pool_(pool), kind_(kind) {}
-  [[nodiscard]] std::string name() const override { return "cpu"; }
-  OmegaResult max_omega(const DpMatrix& m,
-                        const GridPosition& position) override {
-    OmegaResult result =
-        omega_kernel_search_parallel(pool_, m, position, kind_, lane_scratch_);
-    counters_.add(kind_, result.evaluated);
-    ++positions_;
-    return result;
-  }
-  void contribute(ScanProfile& profile) const override {
-    profile.kernel.positions += positions_;
-    profile.kernel.scalar_evaluations += counters_.scalar_evaluations;
-    profile.kernel.portable_evaluations += counters_.portable_evaluations;
-    profile.kernel.avx2_evaluations += counters_.avx2_evaluations;
-  }
-
- private:
-  par::ThreadPool& pool_;
-  CpuKernelKind kind_;
-  std::vector<OmegaKernelScratch> lane_scratch_;
-  CpuKernelCounters counters_;
-  std::uint64_t positions_ = 0;
-};
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // CpuOmegaBackend
@@ -489,8 +436,8 @@ ScanResult scan(const io::Dataset& dataset, const ScannerOptions& options,
   // request fails here (std::runtime_error) before any work starts.
   const CpuKernelKind kernel = resolve_cpu_kernel(options.cpu_kernel);
   // Resolve the thread-count convention (0 = hardware concurrency) exactly
-  // once; everything downstream — branch selection, pool size, profile —
-  // sees the resolved count.
+  // once; everything downstream — worker layout, pool size, profile — sees
+  // the resolved count.
   const std::size_t threads = resolve_scan_threads(options.threads);
   const util::trace::Span scan_span("scan");
   util::Timer total;
@@ -514,12 +461,14 @@ ScanResult scan(const io::Dataset& dataset, const ScannerOptions& options,
 
   ScanResult result;
   result.scores.resize(grid.size());
+  for (std::size_t g = 0; g < grid.size(); ++g) {
+    result.scores[g].position_bp = grid[g].position_bp;
+  }
   result.profile.ld_backend = engine->name();
   result.profile.kernel.requested = cpu_kernel_name(options.cpu_kernel);
   result.profile.kernel.selected = cpu_kernel_name(kernel);
   result.profile.kernel.avx2_supported = cpu_kernel_avx2_available();
   result.profile.sched.requested_threads = options.threads;
-  result.profile.sched.workers = threads;
 
   if (options.progress != nullptr) {
     std::uint64_t valid_positions = 0;
@@ -528,111 +477,19 @@ ScanResult scan(const io::Dataset& dataset, const ScannerOptions& options,
     }
     options.progress->begin(valid_positions, /*chunks_total=*/0);
   }
-
-  auto make_backend = [&]() -> std::unique_ptr<OmegaBackend> {
-    if (!backend_factory) return std::make_unique<CpuOmegaBackend>(kernel);
-    auto backend = backend_factory();
-    // Graceful degradation: a device-lost error demotes this worker's
-    // backend to the CPU loop instead of quarantining the rest of its chunk.
-    if (options.recovery.fallback_to_cpu) {
-      backend = std::make_unique<FallbackBackend>(std::move(backend), kernel);
-    }
-    return backend;
-  };
-
-  if (options.hetero != nullptr) {
-    // Heterogeneous co-scheduler (core/hetero_scheduler.h): CPU span workers
-    // plus one worker per accelerator partition, all sharing one pool. The
-    // executor overrides mt_strategy and backend_factory; `threads` bounds
-    // the total worker count.
-    HeteroExecutor executor(*options.hetero, options.recovery, kernel,
-                            options.reuse, threads);
-    result.profile.sched.workers = executor.total_workers();
-    // total_workers() >= 2 whenever an accelerator is configured; the max
-    // guard keeps the degenerate no-accelerator config off ThreadPool's
-    // 0-means-auto convention.
-    par::ThreadPool pool(std::max<std::size_t>(1, executor.total_workers() - 1));
-    // Spans only tile ranges holding valid positions; stamp every score's
-    // coordinate up front so all-invalid grids still report positions.
-    for (std::size_t g = 0; g < grid.size(); ++g) {
-      result.scores[g].position_bp = grid[g].position_bp;
-    }
-    executor.run(grid, 0, grid.size(), pool, *engine, result.scores,
+  {
+    // Scoped so the worker matrices are freed inside the timed scan.
+    detail::ScanExecutor executor(options, kernel, threads, backend_factory);
+    result.profile.sched.workers = executor.workers();
+    executor.run(grid, 0, grid.size(), *engine, result.scores,
                  result.profile.sched, options.progress, cancel);
+    // Per-bucket times are summed across workers (CPU-seconds); use
+    // total_seconds (wall clock) with the bucket shares for elapsed-time
+    // throughput, as ScanProfile documents.
     executor.finalize(result.profile);
-  } else if (threads <= 1) {
-    auto backend = make_backend();
-    scan_chunk(grid, 0, grid.size(), *engine, options.reuse, options.recovery,
-               *backend, result.scores, result.profile, options.progress,
-               cancel);
-  } else if (options.mt_strategy ==
-             ScannerOptions::MtStrategy::InnerPosition) {
-    if (backend_factory) {
-      throw std::invalid_argument(
-          "scan: InnerPosition multithreading requires the CPU backend");
-    }
-    // One shared DP matrix; the per-position omega loop fans out instead.
-    // The pool-backed search is routed through the same recovery engine as
-    // the chunked drivers so NaN validation and quarantine behave uniformly.
-    par::ThreadPool pool(threads - 1);
-    InnerPositionBackend backend(pool, kernel);
-    DpMatrix m;
-    bool m_live = false;
-    ScanProfile& profile = result.profile;
-    for (std::size_t g = 0; g < grid.size(); ++g) {
-      if (cancel != nullptr && cancel->should_stop()) break;
-      const GridPosition& position = grid[g];
-      PositionScore& score = result.scores[g];
-      score.position_bp = position.position_bp;
-      if (!position.valid) continue;
-      // The pool is idle between omega searches — large extends borrow it
-      // for the suffix-scan phase.
-      advance_matrix(m, m_live, options.reuse, position, *engine,
-                     profile.stages, &pool);
-      score_position(backend, m, position, options.recovery, profile, score,
-                     options.progress);
-    }
-    profile.ld_seconds = profile.stages.ld_total();
-    profile.omega_seconds = profile.stages.omega_search_seconds;
-    merge_matrix_stats(profile, m);
-    backend.contribute(profile);
-    profile.omega_backend = backend.name();
-  } else {
-    // Work-stealing span engine (core/span_engine.h): the grid is split into
-    // relocation-coherent spans budgeted by valid-position cost; each worker
-    // owns a DP matrix and a backend instance and claims spans dynamically.
-    const std::size_t workers = threads;
-    par::ThreadPool pool(workers - 1);
-    std::vector<ScanProfile> profiles(workers);
-    std::vector<std::unique_ptr<OmegaBackend>> backends;
-    backends.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) backends.push_back(make_backend());
-    std::vector<detail::SpanWorkerState> states(workers);
-    // Spans only tile ranges holding valid positions; stamp every score's
-    // coordinate up front so all-invalid grids still report positions.
-    for (std::size_t g = 0; g < grid.size(); ++g) {
-      result.scores[g].position_bp = grid[g].position_bp;
-    }
-    const auto spans = detail::build_scan_spans(grid, 0, grid.size(), workers);
-    detail::scan_spans_parallel(grid, spans, pool, *engine, options.reuse,
-                                options.recovery, backends, states,
-                                result.scores, profiles, result.profile.sched,
-                                options.progress, cancel);
-    for (std::size_t w = 0; w < workers; ++w) {
-      detail::finalize_span_worker(profiles[w], states[w], *backends[w]);
-      // Per-bucket times are summed across workers (CPU-seconds); use
-      // total_seconds (wall clock) with the bucket shares for elapsed-time
-      // throughput, as ScanProfile documents.
-      merge_worker_profile(result.profile, profiles[w]);
-    }
   }
-  detail::finalize_runtime(result.profile, cancel_state,
-                           options.deadline_seconds, grid, result.scores);
-  result.profile.total_seconds = total.seconds();
-  result.profile.telemetry =
-      util::telemetry::snapshot().delta_since(telemetry_begin);
-  detail::finalize_ld_stats(result.profile, options);
-  detail::finalize_perf_stats(result.profile);
+  detail::finish_profile(result.profile, cancel_state, options, grid,
+                         result.scores, total.seconds(), telemetry_begin);
   if (options.progress != nullptr) options.progress->finish();
   return result;
 }

@@ -112,16 +112,18 @@ inline std::unique_ptr<OmegaBackend> borrow_backend(OmegaBackend& backend) {
 /// LD engine selector. Auto resolves (via resolve_ld_backend) to Packed —
 /// the bit-packed blocked engine with runtime AVX2/scalar microkernel
 /// dispatch (ld/packed.h). Every kind produces bitwise-identical r2, so the
-/// choice affects throughput only; Naive is the unpacked test oracle.
-enum class LdBackendKind { Naive, Popcount, Gemm, Packed, Auto };
+/// choice affects throughput only; Naive is the unpacked test oracle. The
+/// float GEMM engine (ld::GemmLd) is no CPU choice — it never wins on the
+/// host — and is reachable only through ScannerOptions::ld_factory.
+enum class LdBackendKind { Naive, Popcount, Packed, Auto };
 
 /// Resolves Auto to the concrete engine kind this build prefers (Packed; the
 /// engine itself dispatches AVX2 vs scalar per host). Concrete kinds pass
 /// through.
 [[nodiscard]] LdBackendKind resolve_ld_backend(LdBackendKind kind) noexcept;
 
-/// Stable engine-kind names ("naive" | "popcount" | "gemm" | "packed" |
-/// "auto") — used by the CLI, the checkpoint config hash, and the report.
+/// Stable engine-kind names ("naive" | "popcount" | "packed" | "auto") —
+/// used by the CLI, the checkpoint config hash, and the report.
 [[nodiscard]] const char* ld_backend_name(LdBackendKind kind) noexcept;
 
 /// Inverse of ld_backend_name; throws std::invalid_argument on unknown
@@ -151,7 +153,8 @@ struct RecoveryPolicy {
 
 struct ScannerOptions {
   OmegaConfig config;
-  LdBackendKind ld = LdBackendKind::Popcount;
+  /// The same default as the CLI and the detector.
+  LdBackendKind ld = LdBackendKind::Auto;
   /// Optional custom LD engine overriding `ld` — e.g. the simulated-GPU GEMM
   /// engine for the complete GPU-accelerated OmegaPlus configuration. The
   /// factory receives the scan's bit-packed matrix (alive for the scan).
@@ -163,14 +166,16 @@ struct ScannerOptions {
   /// parallelization scheme of the multithreaded OmegaPlus evaluated in
   /// Table IV — and 0 = auto-detect: resolved to
   /// std::thread::hardware_concurrency() once, up front, by
-  /// resolve_scan_threads(); the *resolved* count is what the profile and
-  /// backend name report.
+  /// resolve_scan_threads(); the *resolved* count is what the worker layout
+  /// and the backend name use.
   std::size_t threads = 1;
   /// Multithreading strategy (Alachiotis & Pavlidis 2016 performance guide):
   /// GridChunks scales with many grid positions; InnerPosition parallelizes
   /// the per-position omega loop instead (one shared DP matrix; profitable
-  /// for few positions with large windows). InnerPosition requires the CPU
-  /// backend.
+  /// for few positions with large windows). Both are worker layouts of the
+  /// one scan executor, in memory and streamed. InnerPosition requires the
+  /// CPU backend: scan() and stream_scan() throw std::invalid_argument when
+  /// it meets a backend_factory.
   enum class MtStrategy { GridChunks, InnerPosition };
   MtStrategy mt_strategy = MtStrategy::GridChunks;
   /// Disables M relocation between positions (ablation switch; OmegaPlus
@@ -207,7 +212,7 @@ struct ScannerOptions {
   /// sleeping, mirroring the retry engine's virtual clock.
   util::Deadline::Clock deadline_clock;
   /// Heterogeneous co-scheduling (core/hetero_scheduler.h): when non-null,
-  /// the scan splits the grid across the CPU span engine and the configured
+  /// the scan splits the grid across the CPU workers and the configured
   /// accelerator partitions concurrently, sized by modeled throughput, with
   /// straggler/fault re-dispatch back to the CPU. Results stay bitwise-
   /// identical to the plain CPU scan. Overrides mt_strategy and
@@ -321,9 +326,9 @@ struct StreamStats {
   /// Max sites resident at once: current chunk + the prefetched next chunk
   /// under double buffering. The memory bound the subsystem exists for.
   std::uint64_t peak_resident_sites = 0;
-  /// Chunk seams crossed with the DP matrix relocated rather than rebuilt.
-  /// Serial streams only: with per-worker matrices (threads > 1) the seam is
-  /// not a single observable, so multithreaded streams report 0.
+  /// Chunk seams crossed with a DP matrix relocated rather than rebuilt:
+  /// per worker, each chunk whose first position relocated the live matrix
+  /// the worker carried over, so at most workers * (chunks - 1).
   std::uint64_t seam_carryovers = 0;
   /// Chunks whose scan failed even after the chunk-level retry; their grid
   /// positions are quarantined and the stream continues.
@@ -341,7 +346,7 @@ struct StreamStats {
   }
 };
 
-/// Per-worker accounting of the work-stealing scan engine (schema v7).
+/// Per-worker accounting of the scan executor (schema v7).
 struct SchedWorkerStats {
   std::uint64_t spans = 0;      // spans this worker claimed (own + stolen)
   std::uint64_t steals = 0;     // claims served from another worker's queue
@@ -349,18 +354,21 @@ struct SchedWorkerStats {
   double busy_seconds = 0.0;    // wall time inside claimed spans
 };
 
-/// Work-stealing scheduler accounting (profile/metrics schema v7): how the
-/// grid was partitioned into relocation-coherent spans and how evenly the
-/// workers shared them. Serial scans report workers == 1 and spans == 0 (no
-/// scheduler ran); streaming scans accumulate across chunks.
+/// Scan-executor accounting (profile/metrics schema v7): how the grid was
+/// partitioned into relocation-coherent spans and how evenly the workers
+/// shared them. Every worker layout fills it the same way — a serial scan
+/// reports workers == 1, steals == 0 and one workers_detail entry whose
+/// positions equal positions_scanned; streaming scans accumulate across
+/// chunks.
 struct SchedStats {
   /// ScannerOptions::threads as the caller set it (0 = auto requested).
   std::uint64_t requested_threads = 0;
-  /// Resolved worker count the scan actually ran with.
+  /// Executor workers (DP walkers) the scan ran with; InnerPosition counts
+  /// one, its pool threads help inside each position.
   std::uint64_t workers = 0;
   std::uint64_t spans = 0;   // spans built across the scan
   std::uint64_t steals = 0;  // cross-queue claims
-  /// Per-worker detail, indexed by worker id; empty for serial scans.
+  /// Per-worker detail, indexed by worker id.
   std::vector<SchedWorkerStats> workers_detail;
 
   /// Workers that claimed at least one span. Under stealing a worker can be
@@ -411,7 +419,7 @@ struct RuntimeStats {
 /// scan's telemetry delta (ld.panel_cache.* counters, ld.pack_seconds /
 /// ld.kernel_seconds histograms), so streamed scans accumulate across
 /// per-chunk engines and resumes accumulate across runs. pack/kernel seconds
-/// stay zero for engines without a pack phase (popcount/naive/gemm).
+/// stay zero for engines without a pack phase (popcount/naive).
 struct LdStats {
   std::string requested;  // options.ld as asked ("auto", ...; "custom")
   std::string engine;     // resolved engine name (== ld_backend)
@@ -553,8 +561,7 @@ struct ScanProfile {
   CpuKernelStats kernel;
   /// Streaming chunk pipeline accounting (v5); all-zero for in-memory scans.
   StreamStats stream;
-  /// Work-stealing scheduler accounting (v7); workers == 1, spans == 0 for
-  /// serial scans.
+  /// Scan-executor accounting (v7).
   SchedStats sched;
   /// Cancellation/deadline/checkpoint accounting (v8); defaults describe an
   /// uninterrupted, checkpoint-free run.

@@ -7,10 +7,8 @@
 #include <utility>
 
 #include "core/checkpoint.h"
-#include "core/hetero_scheduler.h"
-#include "core/resilience.h"
 #include "core/scan_driver.h"
-#include "core/span_engine.h"
+#include "core/scan_executor.h"
 #include "io/fingerprint.h"
 #include "par/thread_pool.h"
 #include "util/perf_counters.h"
@@ -92,8 +90,9 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
   options.recovery.validate();
   stream_options.validate();
   const CpuKernelKind kernel = resolve_cpu_kernel(options.cpu_kernel);
-  // Same resolved-once thread convention as scan(); > 1 runs the span engine
-  // within each resident chunk, so the memory bound is unaffected.
+  // Same resolved-once thread convention and worker layout as scan(); the
+  // layout runs within each resident chunk, so the memory bound is
+  // unaffected.
   const std::size_t threads = resolve_scan_threads(options.threads);
   const util::trace::Span scan_span("stream.scan");
   const util::Timer total;
@@ -113,6 +112,10 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
   detail::init_cancel_state(cancel_state, options, internal_token);
   const detail::CancelState* cancel =
       cancel_state.enabled() ? &cancel_state : nullptr;
+  // One executor for the entire stream: per-worker backends keep their
+  // degradation state and fault-injection PRNG sequences across chunks (as
+  // the in-memory scan's do), and per-worker matrices carry over seams.
+  detail::ScanExecutor executor(options, kernel, threads, backend_factory);
 
   const io::StreamIndex& index = reader.index();
   StreamPlan plan = plan_stream_chunks(index.positions_bp, options.config,
@@ -128,7 +131,7 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
   profile.kernel.selected = cpu_kernel_name(kernel);
   profile.kernel.avx2_supported = cpu_kernel_avx2_available();
   profile.sched.requested_threads = options.threads;
-  profile.sched.workers = threads;
+  profile.sched.workers = executor.workers();
 
   StreamStats& stream = profile.stream;
   stream.chunks = plan.chunks.size();
@@ -151,13 +154,8 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
   }
 
   if (plan.chunks.empty()) {
-    detail::finalize_runtime(profile, cancel_state, options.deadline_seconds,
-                             plan.grid, result.scores);
-    profile.total_seconds = total.seconds();
-    profile.telemetry =
-        util::telemetry::snapshot().delta_since(telemetry_begin);
-    detail::finalize_ld_stats(profile, options);
-    detail::finalize_perf_stats(profile);
+    detail::finish_profile(profile, cancel_state, options, plan.grid,
+                           result.scores, total.seconds(), telemetry_begin);
     if (options.progress != nullptr) {
       options.progress->begin(valid_positions, plan.chunks.size());
       options.progress->finish();
@@ -165,62 +163,12 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
     return result;  // no valid position anywhere — nothing to read
   }
 
-  // One backend per compute worker for the entire stream: degradation state
-  // (FallbackBackend) and fault-injection PRNG sequences must match the
-  // in-memory scan's per-worker instances, persisting across chunks.
-  auto make_backend = [&]() -> std::unique_ptr<OmegaBackend> {
-    if (!backend_factory) return std::make_unique<CpuOmegaBackend>(kernel);
-    auto backend = backend_factory();
-    if (options.recovery.fallback_to_cpu) {
-      backend = std::make_unique<FallbackBackend>(std::move(backend), kernel);
-    }
-    return backend;
-  };
-  // Heterogeneous co-scheduler: the executor owns its per-worker backends,
-  // matrices, and profiles for the whole stream (seam carryover per worker,
-  // degradation state persisting across chunks), replacing the plain
-  // backends/states/worker_profiles machinery below.
-  const bool hetero = options.hetero != nullptr;
-  std::optional<HeteroExecutor> hetero_exec;
-  if (hetero) {
-    hetero_exec.emplace(*options.hetero, options.recovery, kernel,
-                        options.reuse, threads);
-    profile.sched.workers = hetero_exec->total_workers();
-  }
-
-  std::vector<std::unique_ptr<OmegaBackend>> backends;
-  if (!hetero) {
-    backends.reserve(threads);
-    for (std::size_t w = 0; w < threads; ++w) {
-      backends.push_back(make_backend());
-    }
-  }
-
-  // Multithreaded compute state: per-worker DP matrices persist across
-  // chunks (each worker carries its own seam), per-worker profiles are
-  // finalized once at stream end, and the compute pool lives for the whole
-  // stream. Unused (empty / nullopt) for serial streams.
-  std::optional<par::ThreadPool> compute_pool;
-  std::vector<detail::SpanWorkerState> states;
-  std::vector<ScanProfile> worker_profiles(threads);
-  if (hetero) {
-    compute_pool.emplace(
-        std::max<std::size_t>(1, hetero_exec->total_workers() - 1));
-  } else if (threads > 1) {
-    compute_pool.emplace(threads - 1);
-    states.resize(threads);
-  }
-
   // Crash-safe runtime (core/checkpoint.h): the identity of this scan is the
   // dataset fingerprint plus the hash of every score-relevant setting.
   const bool checkpointing = !stream_options.checkpoint_path.empty();
   const io::StreamFingerprint fingerprint =
       io::fingerprint_stream(index, stream_options.source_path);
-  // Hetero hashes as "cpu": results are bitwise-identical to the CPU scan by
-  // construction, so a checkpoint must resume across hetero <-> cpu runs both
-  // ways (the split, like the thread count, never changes scores).
-  const std::string config_backend_name =
-      hetero ? HeteroExecutor::canonical_backend_name() : backends[0]->name();
+  const std::string config_backend_name = executor.config_backend_name();
   const std::string config_summary = scan_config_summary(
       options, stream_options.chunk_sites, config_backend_name);
   const std::uint64_t config_hash = scan_config_hash(
@@ -291,12 +239,16 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
 
   // Double-buffered fetch: one slot computes while the other fills on the IO
   // pool. Fetches are strictly serialized (submit only after the previous
-  // get()), so the slot/io_seconds writes are published by the future.
+  // get()), so the slot/fetch_seconds writes are published by the future.
+  // The IO thread never writes the profile: checkpoint snapshots copy it
+  // while a prefetch runs.
   par::ThreadPool io_pool(1);
   std::optional<io::DatasetChunk> slots[2];
+  double fetch_seconds = 0.0;
   std::future<void> inflight;
   auto submit_fetch = [&](std::size_t slot) {
-    inflight = io_pool.submit([&reader, &slots, &stream, &fetch_hist, slot] {
+    inflight = io_pool.submit([&reader, &slots, &fetch_seconds, &fetch_hist,
+                               slot] {
       // Counter scope on the IO pool thread: chunk parsing is the stream
       // pipeline's memory-bound stage, so its miss rates are the interesting
       // ones. One scope per fetch == one fetch_hist sample (v11 invariant).
@@ -305,44 +257,23 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
       const util::perf::StageScope perf_scope(fetch_perf);
       const util::Timer timer;
       slots[slot] = reader.next();
-      const double elapsed = timer.seconds();
-      stream.io_seconds += elapsed;
-      fetch_hist.record(elapsed);
+      fetch_seconds = timer.seconds();
+      fetch_hist.record(fetch_seconds);
     });
   };
 
-  DpMatrix m;
-  bool m_live = false;
   std::size_t cursor = 0;
   if (k0 < plan.chunks.size()) submit_fetch(cursor);
 
   // Cumulative profile snapshot for a checkpoint: the running accumulators
-  // (which already include any resumed totals) plus the finalization the
-  // stream normally performs only once at the end, applied to copies — the
-  // matrices are read-only here and OmegaBackend::contribute is const, so
-  // repeating this per chunk is safe.
+  // (which already include any resumed totals) plus the end-of-stream
+  // finalization, applied to a copy.
   auto snapshot_totals = [&]() -> ScanProfile {
     ScanProfile totals = profile;
-    if (hetero) {
-      hetero_exec->finalize(totals);  // repeat-safe (copies worker profiles)
-    } else if (threads <= 1) {
-      totals.ld_seconds = totals.stages.ld_total();
-      totals.omega_seconds = totals.stages.omega_search_seconds;
-      detail::merge_matrix_stats(totals, m);
-      backends[0]->contribute(totals);
-    } else {
-      for (std::size_t w = 0; w < threads; ++w) {
-        ScanProfile wp = worker_profiles[w];
-        detail::finalize_span_worker(wp, states[w], *backends[w]);
-        detail::merge_worker_profile(totals, wp);
-      }
-    }
-    totals.total_seconds = resumed_seconds + total.seconds();
-    totals.telemetry = util::telemetry::snapshot()
-                           .delta_since(telemetry_begin)
-                           .merged_with(resumed_telemetry);
-    detail::finalize_ld_stats(totals, options);
-    detail::finalize_perf_stats(totals);
+    executor.finalize(totals);
+    detail::finish_profile(totals, cancel_state, options, plan.grid,
+                           result.scores, resumed_seconds + total.seconds(),
+                           telemetry_begin, resumed_telemetry);
     return totals;
   };
   std::size_t committed = k0;
@@ -380,6 +311,7 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
       const util::trace::Span span("stream.io.wait");
       const util::Timer stall;
       inflight.get();
+      stream.io_seconds += fetch_seconds;
       const double stalled = stall.seconds();
       stream.io_stall_seconds += stalled;
       stall_hist.record(stalled);
@@ -417,43 +349,10 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
                                : make_ld_engine(options.ld, chunk->dataset, snps);
         const ld::OffsetLd engine(*inner, chunk->first_site);
         if (profile.ld_backend.empty()) profile.ld_backend = inner->name();
-        if (hetero) {
-          // Plan + execute this chunk's grid range across the partitions.
-          // Settled positions are skipped inside every partition loop, so the
-          // chunk-retry path below re-runs only what is still unscored.
-          hetero_exec->run(plan.grid, step.grid_begin, step.grid_end,
-                           *compute_pool, engine, result.scores, profile.sched,
-                           options.progress, cancel);
-        } else if (threads > 1) {
-          // Span engine over the resident chunk's grid range. Already-scored
-          // positions are skipped inside the worker loop, so the chunk-retry
-          // path below re-runs only what is still unscored.
-          const auto spans = detail::build_scan_spans(
-              plan.grid, step.grid_begin, step.grid_end, threads);
-          detail::scan_spans_parallel(
-              plan.grid, spans, *compute_pool, engine, options.reuse,
-              options.recovery, backends, states, result.scores,
-              worker_profiles, profile.sched, options.progress, cancel);
-        } else {
-          bool first_in_chunk = true;
-          for (std::size_t g = step.grid_begin; g < step.grid_end; ++g) {
-            if (cancel != nullptr && cancel->should_stop()) break;
-            const GridPosition& position = plan.grid[g];
-            PositionScore& score = result.scores[g];
-            if (!position.valid || score.valid || score.quarantined) continue;
-            const bool carried =
-                m_live && options.reuse && position.lo >= m.base();
-            detail::advance_matrix(m, m_live, options.reuse, position, engine,
-                                   profile.stages);
-            // Seam carryovers are a serial-stream observable: with one
-            // matrix, "did relocation survive the chunk seam" is well
-            // defined. MT streams keep one matrix per worker and report 0.
-            if (first_in_chunk && k > 0 && carried) ++stream.seam_carryovers;
-            first_in_chunk = false;
-            detail::score_position(*backends[0], m, position, options.recovery,
-                                   profile, score, options.progress);
-          }
-        }
+        // Settled positions are skipped inside the executor, so the
+        // chunk-retry path below re-runs only what is still unscored.
+        executor.run(plan.grid, step.grid_begin, step.grid_end, engine,
+                     result.scores, profile.sched, options.progress, cancel);
         const double chunk_seconds = compute.seconds();
         stream.compute_seconds += chunk_seconds;
         chunk_scan_hist.record(chunk_seconds);
@@ -462,15 +361,11 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
         // A simulator backend observed the cancel mid-launch. NOT a chunk
         // failure (and deliberately caught before the generic handler): the
         // drain below leaves the chunk uncommitted for resume to recompute.
-        m_live = false;
-        for (detail::SpanWorkerState& state : states) state.live = false;
-        if (hetero_exec.has_value()) hetero_exec->invalidate_matrices();
+        executor.invalidate();
         break;
       } catch (const std::exception&) {
         // The matrices may hold a half-extended state; force rebuilds.
-        m_live = false;
-        for (detail::SpanWorkerState& state : states) state.live = false;
-        if (hetero_exec.has_value()) hetero_exec->invalidate_matrices();
+        executor.invalidate();
       }
     }
     // A chunk commits when every one of its positions settled (valid or
@@ -492,9 +387,7 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
         break;  // drained mid-chunk
       }
       ++stream.failed_chunks;
-      m_live = false;
-      for (detail::SpanWorkerState& state : states) state.live = false;
-      if (hetero_exec.has_value()) hetero_exec->invalidate_matrices();
+      executor.invalidate();
       std::uint64_t chunk_quarantined = 0;
       for (std::size_t g = step.grid_begin; g < step.grid_end; ++g) {
         if (!plan.grid[g].valid || result.scores[g].valid) continue;
@@ -526,35 +419,17 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
     // errors are irrelevant once the stream has stopped consuming.
     try {
       inflight.get();
+      stream.io_seconds += fetch_seconds;
     } catch (const std::exception&) {
     }
   }
 
-  if (hetero) {
-    hetero_exec->finalize(profile);
-  } else if (threads <= 1) {
-    profile.ld_seconds = profile.stages.ld_total();
-    profile.omega_seconds = profile.stages.omega_search_seconds;
-    detail::merge_matrix_stats(profile, m);
-    backends[0]->contribute(profile);
-    profile.omega_backend = backends[0]->name();
-  } else {
-    for (std::size_t w = 0; w < threads; ++w) {
-      detail::finalize_span_worker(worker_profiles[w], states[w],
-                                   *backends[w]);
-      detail::merge_worker_profile(profile, worker_profiles[w]);
-    }
-  }
-  detail::finalize_runtime(profile, cancel_state, options.deadline_seconds,
-                           plan.grid, result.scores);
-  profile.total_seconds = resumed_seconds + total.seconds();
+  executor.finalize(profile);
   util::telemetry::gauge("stream.io_overlap_ratio")
       .set(stream.io_overlap_ratio());
-  profile.telemetry = util::telemetry::snapshot()
-                          .delta_since(telemetry_begin)
-                          .merged_with(resumed_telemetry);
-  detail::finalize_ld_stats(profile, options);
-  detail::finalize_perf_stats(profile);
+  detail::finish_profile(profile, cancel_state, options, plan.grid,
+                         result.scores, resumed_seconds + total.seconds(),
+                         telemetry_begin, resumed_telemetry);
   if (options.progress != nullptr) options.progress->finish();
   return result;
 }

@@ -14,14 +14,14 @@
 //   * chunks overlap by the window extent, and each grid position is scored
 //     from the one chunk that fully contains its [lo, hi] range, so the DP
 //     recurrence sees the same r2 values in the same order;
-//   * the matrix itself persists across chunk seams: the usual relocation
-//     carries the overlapping sub-triangle into the next chunk.
+//   * each worker's matrix persists across chunk seams: the usual
+//     relocation carries the overlapping sub-triangle into the next chunk.
 //
 // Pipeline: a 1-thread IO pool materializes chunk k+1 while compute scans
-// chunk k (double buffering). With options.threads > 1 the compute side runs
-// the work-stealing span engine (core/span_engine.h) *within* the resident
-// chunk — workers share the one materialized chunk, so the memory bound
-// holds, and prefetch still overlaps. A chunk whose scan throws a
+// chunk k (double buffering). The compute side runs the same scan executor
+// layout as scan() (core/scan_executor.h) *within* the resident chunk —
+// workers share the one materialized chunk, so the memory bound holds, and
+// prefetch still overlaps. A chunk whose scan throws a
 // non-BackendError exception is retried, then its unscored positions are
 // quarantined and the stream continues — same never-abort contract as the
 // per-position recovery engine.
@@ -100,10 +100,9 @@ StreamPlan plan_stream_chunks(const std::vector<std::int64_t>& positions_bp,
                               const OmegaConfig& config,
                               std::size_t chunk_sites);
 
-/// Runs the streaming scan. options.threads follows the ScannerOptions
-/// convention (0 = auto via resolve_scan_threads, 1 = serial, > 1 = the
-/// work-stealing span engine over the resident chunk's grid positions; the
-/// IO thread is always extra).
+/// Runs the streaming scan. options.threads, mt_strategy and hetero pick the
+/// worker layout exactly as in scan(), applied to the resident chunk's grid
+/// positions (the IO thread is always extra).
 ///
 /// `backend_factory` matches scan()'s: nullptr means the CPU nested loop.
 /// One backend instance per compute worker is created for the whole stream,

@@ -1,6 +1,6 @@
 #pragma once
 // Default heterogeneous partition set for the co-scheduler
-// (core/hetero_scheduler.h): the CPU span engine plus the paper's two
+// (core/hetero_scheduler.h): the CPU workers plus the paper's two
 // simulated accelerators — Tesla K80 GPU (dynamic two-kernel timing model)
 // and Alveo U200 FPGA (cycle model) — each sized by its own modeled
 // throughput over the actual per-position workload.

@@ -19,8 +19,11 @@ struct ThreadPool::Batch {
   std::vector<std::exception_ptr> errors;
 
   void finish_one() {
+    // Decrement under the lock: a waiter that sees zero has then already
+    // waited for this thread to be done with the batch, which lives on the
+    // waiter's stack and dies as soon as run_blocking returns.
+    const std::lock_guard<std::mutex> lock(done_mutex);
     if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mutex);
       done_cv.notify_all();
     }
   }

@@ -91,8 +91,8 @@ DetectionReport detect_sweeps(const io::Dataset& dataset,
 /// Streaming counterpart: scans through a ChunkReader under the bounded-
 /// memory pipeline (core::stream_scan) and produces a report identical to
 /// detect_sweeps on the same data. Candidate window coordinates come from
-/// the reader's position index. Backend::CpuThreaded runs the work-stealing
-/// span engine per chunk (options.threads workers). Checkpoint/resume is
+/// the reader's position index. Backend::CpuThreaded runs the multithreaded
+/// executor layout per chunk (options.threads workers). Checkpoint/resume is
 /// controlled through stream_options (checkpoint_path / resume).
 DetectionReport detect_sweeps_stream(
     io::ChunkReader& reader, const DetectorOptions& options = {},

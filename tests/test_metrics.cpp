@@ -144,7 +144,7 @@ TEST(Trace, ScanEmitsStageSpans) {
     saw_scan |= name == "scan";
     saw_extend |= name == "scan.ld.extend";
     saw_search |= name == "scan.omega.search";
-    saw_ld |= name == "ld.popcount.r2_block";
+    saw_ld |= name == "ld.packed.r2_block";  // the default LD engine
   }
   EXPECT_TRUE(saw_scan);
   EXPECT_TRUE(saw_extend);
@@ -166,7 +166,7 @@ TEST(ScanMetrics, SchemaDocumentRoundTrips) {
   EXPECT_EQ(doc.at("schema_version").as_int(),
             omega::core::metrics::kSchemaVersion);
   EXPECT_EQ(doc.at("name").as_string(), "unit");
-  EXPECT_EQ(doc.at("ld_backend").as_string(), "popcount");
+  EXPECT_EQ(doc.at("ld_backend").as_string(), "packed");
   EXPECT_EQ(doc.at("backend").as_string(), "cpu");
 
   // Counters round-trip exactly (Int kind, not Double).
@@ -186,15 +186,18 @@ TEST(ScanMetrics, SchemaDocumentRoundTrips) {
   EXPECT_EQ(faults.at("degradations").as_uint(), 0u);
   EXPECT_EQ(faults.at("backoff_virtual_seconds").as_double(), 0.0);
 
-  // Schema v7: a serial scan reports the work-stealing block with one
-  // worker, no spans, and an empty per-worker detail array.
+  // Schema v7: a serial scan is the one-worker layout of the executor — one
+  // active worker that never steals and scored every position.
   const auto& sched = doc.at("sched");
   EXPECT_EQ(sched.at("requested_threads").as_uint(), 1u);
   EXPECT_EQ(sched.at("workers").as_uint(), 1u);
-  EXPECT_EQ(sched.at("spans").as_uint(), 0u);
+  EXPECT_EQ(sched.at("spans").as_uint(), result.profile.sched.spans);
   EXPECT_EQ(sched.at("steals").as_uint(), 0u);
-  EXPECT_EQ(sched.at("active_workers").as_uint(), 0u);
-  EXPECT_TRUE(sched.at("workers_detail").items().empty());
+  EXPECT_EQ(sched.at("active_workers").as_uint(), 1u);
+  const auto& detail = sched.at("workers_detail").items();
+  ASSERT_EQ(detail.size(), 1u);
+  EXPECT_EQ(detail[0].at("positions").as_uint(),
+            result.profile.positions_scanned);
 
   const auto reparsed = JsonValue::parse(doc.dump());
   EXPECT_EQ(reparsed, doc);

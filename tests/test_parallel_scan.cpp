@@ -15,8 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/scan_executor.h"
 #include "core/scanner.h"
-#include "core/span_engine.h"
 #include "core/stream_scanner.h"
 #include "core/workload.h"
 #include "hw/device_specs.h"
@@ -386,11 +386,16 @@ TEST(SchedStats, SerialScanReportsOneWorkerNoSpans) {
   const auto dataset = parallel_dataset();
   const auto options = parallel_options();
   const auto result = omega::core::scan(dataset, options);
-  EXPECT_EQ(result.profile.sched.requested_threads, 1u);
-  EXPECT_EQ(result.profile.sched.workers, 1u);
-  EXPECT_EQ(result.profile.sched.spans, 0u);
-  EXPECT_EQ(result.profile.sched.steals, 0u);
-  EXPECT_TRUE(result.profile.sched.workers_detail.empty());
+  // The serial scan is the executor's one-worker layout: the same sched
+  // block as any other, with one worker that never steals.
+  const auto& sched = result.profile.sched;
+  EXPECT_EQ(sched.requested_threads, 1u);
+  EXPECT_EQ(sched.workers, 1u);
+  EXPECT_EQ(sched.steals, 0u);
+  ASSERT_EQ(sched.workers_detail.size(), 1u);
+  EXPECT_EQ(sched.workers_detail[0].positions,
+            result.profile.positions_scanned);
+  EXPECT_EQ(sched.workers_detail[0].spans, sched.spans);
 }
 
 // ---------------------------------------------------------------------------
@@ -412,10 +417,47 @@ TEST(ParallelStream, ChunkedMtMatchesSerialStreamBitwise) {
     const auto mt = omega::core::stream_scan(reader, options, stream_options);
     expect_identical(mt, serial);
     EXPECT_EQ(mt.profile.sched.workers, 4u);
-    // MT streams keep one matrix per worker; the serial seam observable
-    // stays zero by contract.
-    EXPECT_EQ(mt.profile.stream.seam_carryovers, 0u);
+    // Each worker carries its own matrix over the seams it crosses; a
+    // one-chunk stream has none.
+    const std::uint64_t seams = mt.profile.stream.chunks - 1;
+    EXPECT_EQ(mt.profile.stream.seam_carryovers > 0, seams > 0);
+    EXPECT_LE(mt.profile.stream.seam_carryovers, 4u * seams);
   }
+}
+
+TEST(ParallelStream, InnerPositionMatchesSerialStreamBitwise) {
+  const auto dataset = parallel_dataset(1717);
+  auto options = parallel_options();
+  omega::io::DatasetChunkReader serial_reader(dataset);
+  omega::core::StreamScanOptions stream_options;
+  stream_options.chunk_sites = 90;
+  const auto serial =
+      omega::core::stream_scan(serial_reader, options, stream_options);
+
+  options.threads = 4;
+  options.mt_strategy = omega::core::ScannerOptions::MtStrategy::InnerPosition;
+  omega::io::DatasetChunkReader reader(dataset);
+  const auto inner = omega::core::stream_scan(reader, options, stream_options);
+  expect_identical(inner, serial);
+  // One DP walker: the same matrix chain, seams and relocations as serial.
+  EXPECT_EQ(inner.profile.sched.workers, 1u);
+  EXPECT_EQ(inner.profile.stream.seam_carryovers,
+            serial.profile.stream.seam_carryovers);
+  EXPECT_EQ(inner.profile.relocation.relocations,
+            serial.profile.relocation.relocations);
+}
+
+TEST(ParallelStream, InnerPositionRejectsNonCpuBackend) {
+  const auto dataset = parallel_dataset(1717);
+  auto options = parallel_options();
+  options.threads = 2;
+  options.mt_strategy = omega::core::ScannerOptions::MtStrategy::InnerPosition;
+  omega::io::DatasetChunkReader reader(dataset);
+  EXPECT_THROW(
+      (void)omega::core::stream_scan(
+          reader, options, {},
+          [] { return std::make_unique<omega::core::CpuOmegaBackend>(); }),
+      std::invalid_argument);
 }
 
 TEST(ParallelStream, ThreadsZeroAutoDetects) {

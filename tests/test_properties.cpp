@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/dp_matrix.h"
@@ -32,6 +33,7 @@ TEST_P(RandomizedDpChains, ArbitraryRelocateExtendEqualsFreshBuild) {
   const omega::ld::SnpMatrix snps(dataset);
   const omega::ld::PopcountLd engine(snps);
   omega::util::Xoshiro256 rng(seed * 7 + 1);
+  const std::size_t sites = dataset.num_sites();
 
   omega::core::DpMatrix chained;
   std::size_t base = rng.bounded(20);
@@ -41,15 +43,17 @@ TEST_P(RandomizedDpChains, ArbitraryRelocateExtendEqualsFreshBuild) {
 
   for (int op = 0; op < 12; ++op) {
     // Random forward relocation within the covered range, then random
-    // extension (possibly a no-op).
-    const std::size_t new_base = base + rng.bounded(end - base + 4);
+    // extension (possibly a no-op). Both stay inside the dataset: the base
+    // at most two sites from its end, so `end = base + 2` below fits.
+    const std::size_t new_base =
+        std::min(base + rng.bounded(end - base + 4), sites - 2);
     if (new_base > base) {
       chained.relocate(new_base);
       base = new_base;
       end = std::max(end, base);
     }
     const std::size_t new_end =
-        std::min<std::size_t>(120, std::max(end, base + 1) + rng.bounded(20));
+        std::min(sites, std::max(end, base + 1) + rng.bounded(20));
     if (new_end > end && new_end > base) {
       chained.extend(new_end, engine);
       end = new_end;

@@ -10,6 +10,7 @@
 
 #include "core/report.h"
 #include "core/scanner.h"
+#include "ld/ld_engine.h"
 #include "sim/dataset_factory.h"
 
 namespace {
@@ -49,7 +50,9 @@ TEST(Report, InfoContainsKeyFields) {
   const auto dataset = omega::sim::make_dataset(
       {.snps = 100, .samples = 20, .locus_length_bp = 500'000, .rho = 5.0, .seed = 4});
   omega::core::ScannerOptions options;
-  options.ld = omega::core::LdBackendKind::Gemm;
+  options.ld_factory = [](const omega::ld::SnpMatrix& snps) {
+    return std::make_unique<omega::ld::GemmLd>(snps);
+  };
   const auto result = small_scan(dataset, options);
 
   std::ostringstream info;

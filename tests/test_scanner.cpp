@@ -60,8 +60,12 @@ TEST(Scanner, LdEnginesProduceSameScan) {
   ScannerOptions popcount_options;
   popcount_options.config = small_config();
   popcount_options.ld = omega::core::LdBackendKind::Popcount;
+  // GEMM is no LdBackendKind; a custom factory keeps a scan through it
+  // covered.
   ScannerOptions gemm_options = popcount_options;
-  gemm_options.ld = omega::core::LdBackendKind::Gemm;
+  gemm_options.ld_factory = [](const omega::ld::SnpMatrix& snps) {
+    return std::make_unique<omega::ld::GemmLd>(snps);
+  };
 
   const auto a = omega::core::scan(d, popcount_options);
   const auto b = omega::core::scan(d, gemm_options);
