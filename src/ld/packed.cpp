@@ -16,11 +16,6 @@ namespace omega::ld {
 namespace packed_detail {
 namespace {
 
-// Rows are padded to a multiple of this many u64 words (one cache line, two
-// AVX2 vectors) so the vector bodies never need a scalar tail: the pad words
-// are zero in both data and mask and contribute nothing to any count stream.
-constexpr std::size_t kRowPadWords = 8;
-
 void tile_counts_scalar(const std::uint64_t* a_panel,
                         const std::uint64_t* b_panel, std::size_t stride_words,
                         std::size_t words, std::size_t m, std::size_t n,
@@ -126,16 +121,28 @@ PackedLd::PackedLd(const SnpMatrix& snps, PackedBlocking blocking,
   blocking_.kc_words = std::max<std::size_t>(blocking_.kc_words, 1);
   blocking_.sites_per_panel = std::max<std::size_t>(blocking_.sites_per_panel, 1);
 
+  constexpr std::size_t kVector = packed_detail::kVectorWords;
   const std::size_t words = snps_.words_per_site();
-  padded_words_ = (words + packed_detail::kRowPadWords - 1) /
-                  packed_detail::kRowPadWords * packed_detail::kRowPadWords;
-  if (padded_words_ == 0) padded_words_ = packed_detail::kRowPadWords;
+  padded_words_ =
+      words < kVector ? words : (words + kVector - 1) / kVector * kVector;
   stride_words_ = padded_words_ * (fused_ ? 2 : 1);
   const std::size_t sites = snps_.num_sites();
   num_blocks_ =
       (sites + blocking_.sites_per_panel - 1) / blocking_.sites_per_panel;
+  if (!fused_) {
+    const auto samples = static_cast<float>(snps_.num_samples());
+    frac_.resize(snps_.num_samples() + 1);
+    for (std::size_t k = 0; k < frac_.size(); ++k) {
+      frac_[k] = static_cast<float>(k) / samples;
+    }
+  }
   if (sites > 0) {
     arena_ = std::make_unique<std::uint64_t[]>(sites * stride_words_);
+    if (!fused_) {
+      site_p_ = std::make_unique<float[]>(sites);
+      site_pq_ = std::make_unique<float[]>(sites);
+      site_q_ = std::make_unique<float[]>(sites);
+    }
     block_packed_ = std::make_unique<std::atomic<bool>[]>(num_blocks_);
     for (std::size_t b = 0; b < num_blocks_; ++b) {
       block_packed_[b].store(false, std::memory_order_relaxed);
@@ -190,6 +197,12 @@ std::size_t PackedLd::ensure_packed(std::size_t begin, std::size_t end) const {
         std::memcpy(mask, snps_.mask(s), words * sizeof(std::uint64_t));
         std::memset(mask + words, 0,
                     (padded_words_ - words) * sizeof(std::uint64_t));
+      } else {
+        // The same float operations r2_from_counts_f applies to ni or nj.
+        const float p = frac_[static_cast<std::size_t>(snps_.derived_count(s))];
+        site_p_[s] = p;
+        site_pq_[s] = p * (1.0f - p);
+        site_q_[s] = 1.0f - p;
       }
     }
     block_packed_[b].store(true, std::memory_order_release);
@@ -272,9 +285,9 @@ void PackedLd::r2_block(std::size_t i0, std::size_t i1, std::size_t j0,
     }
   }
 
-  // Counts -> r2 through the same r2_from_counts_f every engine uses, so the
-  // floats are bitwise identical to PopcountLd/GemmLd/NaiveLd.
   if (fused_) {
+    // Pairwise-complete n differs per pair: convert through the same
+    // r2_from_counts_f every engine uses.
     for (std::size_t i = 0; i < m; ++i) {
       float* row = out + i * ld;
       for (std::size_t j = 0; j < n; ++j) {
@@ -287,18 +300,43 @@ void PackedLd::r2_block(std::size_t i0, std::size_t i1, std::size_t j0,
       }
     }
   } else {
-    const auto n_samples = static_cast<std::int32_t>(snps_.num_samples());
-    for (std::size_t i = 0; i < m; ++i) {
-      float* row = out + i * ld;
-      const std::int32_t ni = snps_.derived_count(i0 + i);
-      for (std::size_t j = 0; j < n; ++j) {
-        const PairCounts pair{n_samples, ni, snps_.derived_count(j0 + j),
-                              static_cast<std::int32_t>(counts[i * n + j])};
-        row[j] = r2_from_counts_f(pair);
-      }
-    }
+    r2_from_counts_hoisted(counts.data(), i0, m, j0, n, out, ld);
   }
   kernel_hist.record(kernel_timer.seconds());
+}
+
+void PackedLd::r2_from_counts_hoisted(const std::uint32_t* counts,
+                                      std::size_t i0, std::size_t m,
+                                      std::size_t j0, std::size_t n,
+                                      float* out, std::size_t ld) const {
+  if (snps_.num_samples() < 2) {  // r2_from_counts_f's samples < 2 zero
+    for (std::size_t i = 0; i < m; ++i) std::fill_n(out + i * ld, n, 0.0f);
+    return;
+  }
+  // r2_from_counts_f with n = samples, term for term: pi = ni/n, pj = nj/n
+  // and pij = nij/n are the same divides (done once per site and per k),
+  // denom = ((pi * (1 - pi)) * pj) * (1 - pj) and d = pij - pi * pj keep its
+  // association, so only d * d / denom is left per pair.
+  const float* col_p = site_p_.get() + j0;
+  const float* col_q = site_q_.get() + j0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const float pi = site_p_[i0 + i];
+    const float pqi = site_pq_[i0 + i];
+    const std::uint32_t* c = counts + i * n;
+    float* row = out + i * ld;
+    for (std::size_t j = 0; j < n; ++j) row[j] = frac_[c[j]];  // p_ij
+    // d * d / denom is computed on every lane and masked to +0 where
+    // denom <= 0: a branch or ?: here keeps GCC from vectorizing the loop
+    // (it may not speculate a divide under -ftrapping-math). Vector lanes
+    // round each operation exactly as the scalar r2_from_counts_f does.
+    for (std::size_t j = 0; j < n; ++j) {
+      const float denom = pqi * col_p[j] * col_q[j];
+      const float d = row[j] - pi * col_p[j];
+      const float r2 = d * d / denom;
+      const std::uint32_t keep = 0u - static_cast<std::uint32_t>(denom > 0.0f);
+      row[j] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(r2) & keep);
+    }
+  }
 }
 
 }  // namespace omega::ld

@@ -5,10 +5,14 @@
 // cannot target AVX2 the TU compiles to nothing and packed.cpp supplies the
 // scalar-aliased fallback symbol.
 //
-// Popcount strategy (Mula/Kurz/Lemire lineage): vpshufb nibble-LUT gives
-// per-byte counts, vpsadbw folds them into four u64 lanes; for deep sample
-// dimensions (>= 64 words per slice) a Harley-Seal carry-save adder tree
-// compresses 16 AND-ed vectors per full popcount, cutting the LUT work 16x.
+// Popcount strategy by depth slice (Mula/Kurz/Lemire lineage):
+//   * under one vector (1-3 words, the unpadded shallow rows): hardware
+//     popcnt per u64 word (-mavx2 implies -mpopcnt), with no vector set-up
+//     or horizontal sum per pair;
+//   * from one vector: vpshufb nibble-LUT gives per-byte counts, vpsadbw
+//     folds them into four u64 lanes;
+//   * from 64 words: a Harley-Seal carry-save adder tree compresses 16
+//     AND-ed vectors per full popcount, cutting the LUT work 16x.
 
 #include "ld/packed.h"
 
@@ -57,12 +61,20 @@ inline std::uint64_t hsum_epi64(__m256i v) {
          static_cast<std::uint64_t>(_mm_extract_epi64(s, 1));
 }
 
-/// popcount(a & b) over `words` u64 words. Harley-Seal over 64-word blocks
-/// when the depth is there; plain LUT-popcount accumulation otherwise.
+/// popcount(a & b) over `words` u64 words, by depth: popcnt per word under
+/// one vector, Harley-Seal over 64-word blocks when the depth is there, and
+/// plain LUT-popcount accumulation in between.
 std::uint64_t and_popcount_avx2(const std::uint64_t* a, const std::uint64_t* b,
                                 std::size_t words) {
-  __m256i total = _mm256_setzero_si256();
+  std::uint64_t sum = 0;
   std::size_t w = 0;
+  if (words < kVectorWords) {
+    for (; w < words; ++w) {
+      sum += static_cast<std::uint64_t>(std::popcount(a[w] & b[w]));
+    }
+    return sum;
+  }
+  __m256i total = _mm256_setzero_si256();
   if (words >= 64) {
     __m256i ones = _mm256_setzero_si256();
     __m256i twos = _mm256_setzero_si256();
@@ -105,7 +117,7 @@ std::uint64_t and_popcount_avx2(const std::uint64_t* a, const std::uint64_t* b,
   for (; w + 4 <= words; w += 4) {
     total = _mm256_add_epi64(total, popcount256(load_and(a + w, b + w)));
   }
-  std::uint64_t sum = hsum_epi64(total);
+  sum = hsum_epi64(total);
   for (; w < words; ++w) {
     sum += static_cast<std::uint64_t>(std::popcount(a[w] & b[w]));
   }
@@ -157,10 +169,15 @@ void tile_fused_avx2(const std::uint64_t* a_panel,
         tnj = _mm256_add_epi64(tnj, popcount256(_mm256_and_si256(ma, db)));
         tnn = _mm256_add_epi64(tnn, popcount256(_mm256_and_si256(ma, mb)));
       }
-      std::uint64_t n11 = hsum_epi64(t11);
-      std::uint64_t ni = hsum_epi64(tni);
-      std::uint64_t nj = hsum_epi64(tnj);
-      std::uint64_t nn = hsum_epi64(tnn);
+      // Under one vector the loop above never ran: skip the four horizontal
+      // sums and count the words with popcnt below.
+      std::uint64_t n11 = 0, ni = 0, nj = 0, nn = 0;
+      if (words >= kVectorWords) {
+        n11 = hsum_epi64(t11);
+        ni = hsum_epi64(tni);
+        nj = hsum_epi64(tnj);
+        nn = hsum_epi64(tnn);
+      }
       for (; w < words; ++w) {
         n11 += static_cast<std::uint64_t>(std::popcount(ad[w] & bd[w]));
         ni += static_cast<std::uint64_t>(std::popcount(ad[w] & bm[w]));

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -156,6 +157,82 @@ TEST(PackedIsaDispatch, DeepSampleDimensionHitsHarleySeal) {
   auto_engine.r2_block(0, 10, 0, 10, a.data(), 10);
   scalar_engine.r2_block(0, 10, 0, 10, s.data(), 10);
   EXPECT_EQ(a, s);
+}
+
+// ------------------------------------------------------------- depth sweep --
+
+/// The bit patterns of a block of r2 values: "bitwise" means equal bits, not
+/// float ==.
+std::vector<std::uint32_t> r2_bits(const omega::ld::LdEngine& engine,
+                                   std::size_t i0, std::size_t i1,
+                                   std::size_t j0, std::size_t j1) {
+  const std::size_t n = j1 - j0;
+  std::vector<float> r2((i1 - i0) * n, -1.0f);
+  engine.r2_block(i0, i1, j0, j1, r2.data(), n);
+  std::vector<std::uint32_t> bits(r2.size());
+  std::memcpy(bits.data(), r2.data(), r2.size() * sizeof(float));
+  return bits;
+}
+
+TEST(PackedDepthSweep, MatchesPopcountBitwiseAtEveryDepth) {
+  // Sample counts on both sides of every row-depth edge: 1-3 words are the
+  // unpadded shallow rows, 4 words is the first padded vector row, 5 words
+  // pads to 8. Each is checked on a full square block and on an
+  // extend-shaped rectangle (fewer rows than one mr sliver against more
+  // columns than one nc tile).
+  constexpr std::size_t kSites = 264;
+  static_assert(kSites > PackedBlocking{}.nc);
+  for (const std::size_t samples :
+       {1u, 2u, 3u, 63u, 64u, 65u, 127u, 128u, 129u, 255u, 256u, 257u, 300u}) {
+    for (const double missing : {0.0, 0.15}) {
+      SCOPED_TRACE(testing::Message()
+                   << samples << " samples, missing rate " << missing);
+      const Dataset d = random_dataset(kSites, samples, 700 + samples, missing);
+      const SnpMatrix snps(d);
+      const PopcountLd oracle(snps);
+      const PackedLd auto_engine(snps);
+      const PackedLd scalar_engine(snps, PackedBlocking{}, PackedIsa::Scalar);
+      const auto square = r2_bits(oracle, 0, 48, 0, 48);
+      EXPECT_EQ(r2_bits(auto_engine, 0, 48, 0, 48), square);
+      EXPECT_EQ(r2_bits(scalar_engine, 0, 48, 0, 48), square);
+      static_assert(3 < PackedBlocking::mr);
+      const auto rect = r2_bits(oracle, 100, 103, 0, kSites);
+      EXPECT_EQ(r2_bits(auto_engine, 100, 103, 0, kSites), rect);
+      EXPECT_EQ(r2_bits(scalar_engine, 100, 103, 0, kSites), rect);
+    }
+  }
+}
+
+TEST(PackedDepthSweep, MonomorphicBlockReadsZero) {
+  // Every site fixed for one allele (alternating 0 and 1): p (1 - p) == 0 on
+  // every row and column, so the denom <= 0 rule must zero the whole block.
+  for (const std::size_t samples : {2u, 64u, 129u, 300u}) {
+    for (const double missing : {0.0, 0.15}) {
+      SCOPED_TRACE(testing::Message()
+                   << samples << " samples, missing rate " << missing);
+      omega::util::Xoshiro256 rng(samples);
+      constexpr std::size_t kSites = 20;
+      std::vector<std::int64_t> positions(kSites);
+      std::vector<std::vector<std::uint8_t>> rows(kSites);
+      for (std::size_t s = 0; s < kSites; ++s) {
+        positions[s] = static_cast<std::int64_t>(s + 1) * 10;
+        rows[s].assign(samples, static_cast<std::uint8_t>(s % 2));
+        for (auto& allele : rows[s]) {
+          if (missing > 0.0 && rng.uniform() < missing) {
+            allele = Dataset::kMissing;
+          }
+        }
+      }
+      const Dataset d(std::move(positions), std::move(rows),
+                      static_cast<std::int64_t>(kSites + 1) * 10);
+      const SnpMatrix snps(d);
+      const std::vector<std::uint32_t> zeros(kSites * kSites, 0u);
+      EXPECT_EQ(r2_bits(PackedLd(snps), 0, kSites, 0, kSites), zeros);
+      EXPECT_EQ(r2_bits(PackedLd(snps, PackedBlocking{}, PackedIsa::Scalar), 0,
+                        kSites, 0, kSites),
+                zeros);
+    }
+  }
 }
 
 // -------------------------------------------------------------- panel cache --
