@@ -5,7 +5,8 @@
 #     block, and never leaks a .ckpt.tmp temp file;
 #   * --resume completes the scan (exit 0) and the final report is
 #     byte-identical to an uninterrupted run;
-#   * resuming with a changed chunk decomposition is a usage error (exit 2).
+#   * resuming with a changed chunk decomposition, or from a checkpoint of
+#     another schema_version, is a usage error (exit 2).
 # Invoked as:
 #   cmake -DSCAN_BIN=... -DWORK_DIR=... -P cli_runtime.cmake
 
@@ -113,11 +114,34 @@ if(NOT result EQUAL 2)
     "${output}")
 endif()
 
-# --- 6. no leaked checkpoint temp files -----------------------------------
+# --- 6. a checkpoint of another schema_version is a usage error ----------
+
+file(READ "${WORK_DIR}/run.ckpt" ckpt_text)
+string(REGEX MATCH "\"schema_version\": ([0-9]+)" version_field "${ckpt_text}")
+set(current_version "${CMAKE_MATCH_1}")
+math(EXPR old_version "${current_version} - 1")
+string(REPLACE "${version_field}" "\"schema_version\": ${old_version}"
+  old_ckpt_text "${ckpt_text}")
+file(WRITE "${WORK_DIR}/old.ckpt" "${old_ckpt_text}")
+execute_process(
+  COMMAND "${SCAN_BIN}" --name run ${scan_args}
+    "--checkpoint=${WORK_DIR}/old.ckpt" --resume
+  RESULT_VARIABLE result OUTPUT_VARIABLE output ERROR_VARIABLE output)
+if(NOT result EQUAL 2)
+  message(FATAL_ERROR
+    "cli_runtime: resume from a version ${old_version} checkpoint exited "
+    "${result}, want 2\n${output}")
+endif()
+if(NOT output MATCHES "version ${old_version} is not the supported version ${current_version}")
+  message(FATAL_ERROR
+    "cli_runtime: version mismatch error names neither version:\n${output}")
+endif()
+
+# --- 7. no leaked checkpoint temp files -----------------------------------
 
 file(GLOB leaked_tmp "${WORK_DIR}/*.ckpt.tmp")
 if(leaked_tmp)
   message(FATAL_ERROR "cli_runtime: leaked checkpoint temp files: ${leaked_tmp}")
 endif()
 
-message(STATUS "cli_runtime: flag validation, deadline drain, resume identity OK")
+message(STATUS "cli_runtime: flag validation, deadline drain, resume identity, version refusal OK")

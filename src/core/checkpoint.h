@@ -31,18 +31,22 @@ struct StreamScanOptions;
 
 /// Thrown when --resume finds a checkpoint that does not match the current
 /// run (different dataset fingerprint, scan config, or chunk/grid geometry).
-/// A distinct type so the CLI can map it to a usage-error exit code instead
-/// of a generic failure.
+/// Also thrown for a checkpoint of another schema_version. A distinct type so
+/// the CLI can map it to a usage-error exit code instead of a generic failure.
 class ResumeMismatchError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
 struct ScanCheckpoint {
-  /// Bump when the on-disk layout changes; load_checkpoint rejects others.
+  /// Bump when the on-disk layout changes; load_checkpoint rejects others
+  /// with ResumeMismatchError.
   /// v2: hetero partitions carry measured_rate_per_s / rate_observations
   /// (schema v11 measured-rate estimation).
-  static constexpr int kVersion = 2;
+  /// v3: `totals` is written by the metrics writer (write_profile_blocks):
+  /// the metrics document's block and key names, sched workers_detail as
+  /// objects, the hetero block always present.
+  static constexpr int kVersion = 3;
 
   io::StreamFingerprint fingerprint;
   /// scan_config_hash of the producing run; resume refuses a mismatch.
@@ -60,10 +64,10 @@ struct ScanCheckpoint {
   std::uint64_t grid_committed = 0;
   /// Exactly grid_committed entries; max_omega round-trips bitwise.
   std::vector<PositionScore> scores;
-  /// Accumulated profile of all runs so far (stages, counters, accelerator
-  /// blocks, stream IO totals, sched per-worker detail, telemetry snapshot).
-  /// RuntimeStats and the backend/kernel name strings are per-run and are
-  /// not carried.
+  /// Accumulated profile of all runs so far: every Sum and Latest field of
+  /// the profile tables (core/scanner.h) plus the telemetry snapshot. Plan
+  /// fields (runtime, ld, perf, plan geometry, backend/kernel names) are
+  /// per-run: written for inspection, never read back.
   ScanProfile totals;
 };
 
@@ -81,7 +85,8 @@ struct ScanCheckpoint {
                                              const std::string& backend_name);
 
 [[nodiscard]] metrics::JsonValue checkpoint_to_json(const ScanCheckpoint& ckpt);
-/// Throws std::runtime_error on a malformed or version-mismatched document.
+/// Throws ResumeMismatchError on another schema_version, std::runtime_error
+/// (or std::out_of_range / std::logic_error from JsonValue) when malformed.
 [[nodiscard]] ScanCheckpoint checkpoint_from_json(
     const metrics::JsonValue& doc);
 
@@ -93,15 +98,8 @@ std::uint64_t write_checkpoint(const std::string& path,
                                const ScanCheckpoint& ckpt);
 
 /// Loads and structurally validates a checkpoint file. Throws
-/// std::runtime_error when the file is missing, unparseable, or a different
-/// version.
+/// std::runtime_error when the file is missing or unparseable, and
+/// ResumeMismatchError when it has a different version.
 [[nodiscard]] ScanCheckpoint load_checkpoint(const std::string& path);
-
-/// Folds a loaded checkpoint's accumulated totals into a fresh scan profile
-/// at resume time: everything merge_worker_profile covers plus the stream IO
-/// buckets, sched per-worker detail, and total_seconds. Telemetry is NOT
-/// merged here — the driver folds it in at scan end via
-/// RegistrySnapshot::merged_with, after the current run's delta is taken.
-void restore_profile_totals(ScanProfile& profile, const ScanProfile& totals);
 
 }  // namespace omega::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/scan_driver.h"
 #include "core/workload.h"
 
 namespace omega::core {
@@ -197,40 +198,22 @@ HeteroPlan plan_hetero_split(const std::vector<GridPosition>& grid,
 
 void merge_hetero_stats(HeteroStats& into, const HeteroStats& from) {
   if (!from.enabled) return;
-  into.enabled = true;
-  if (!from.split.empty()) into.split = from.split;
-  into.plans += from.plans;
-  into.redispatched_spans += from.redispatched_spans;
-  into.redispatched_positions += from.redispatched_positions;
-  into.straggler_spans += from.straggler_spans;
-  into.faulted_spans += from.faulted_spans;
+  detail::merge_fields(into, from, kHeteroFields);
   for (const HeteroPartitionStats& part : from.partitions) {
-    HeteroPartitionStats* dst = nullptr;
-    for (HeteroPartitionStats& candidate : into.partitions) {
-      if (candidate.backend == part.backend) {
-        dst = &candidate;
-        break;
-      }
-    }
-    if (dst == nullptr) {
-      HeteroPartitionStats fresh;
-      fresh.backend = part.backend;
-      into.partitions.push_back(std::move(fresh));
-      dst = &into.partitions.back();
-    }
-    dst->weight = part.weight;  // latest plan's share
-    dst->planned_positions += part.planned_positions;
-    dst->actual_positions += part.actual_positions;
-    dst->spans += part.spans;
-    dst->modeled_seconds += part.modeled_seconds;
-    dst->measured_seconds += part.measured_seconds;
-    // Latest estimate wins (HeteroPartitionStats contract): a run that made
-    // observations supersedes whatever a resumed checkpoint carried, while a
-    // run that never settled anything keeps the resumed estimate.
-    if (part.rate_observations > 0) {
-      dst->measured_rate_per_s = part.measured_rate_per_s;
-    }
-    dst->rate_observations += part.rate_observations;
+    const auto match = std::find_if(
+        into.partitions.begin(), into.partitions.end(),
+        [&](const HeteroPartitionStats& candidate) {
+          return candidate.backend == part.backend;
+        });
+    HeteroPartitionStats& dst = match != into.partitions.end()
+                                    ? *match
+                                    : into.partitions.emplace_back();
+    const double resumed_rate = dst.measured_rate_per_s;
+    detail::merge_fields(dst, part, kHeteroPartitionFields);
+    // Latest estimate wins (HeteroPartitionStats contract) only from a run
+    // that made observations: a run that never settled anything keeps the
+    // resumed estimate.
+    if (part.rate_observations == 0) dst.measured_rate_per_s = resumed_rate;
   }
 }
 

@@ -124,10 +124,13 @@ struct HeteroPlan {
     const std::vector<GridPosition>& grid, std::size_t begin, std::size_t end,
     const HeteroConfig& config);
 
-/// Folds one HeteroStats accumulation into another: counters add, partitions
-/// merge by backend name (weight keeps the latest plan's share). Used by
-/// ScanExecutor::finalize and by checkpoint resume to accumulate stats
-/// across runs. No-op when `from` is disabled.
+/// Folds one HeteroStats accumulation into another by the kHeteroFields and
+/// kHeteroPartitionFields merge rules (core/scanner.h): counters add, the
+/// split and each partition's weight take the latest plan's; partitions
+/// match by backend name, and a partition's measured rate keeps its resumed
+/// estimate unless the newer run observed one. Used by ScanExecutor::finalize
+/// and, through merge_profile, by checkpoint resume. No-op when `from` is
+/// disabled.
 void merge_hetero_stats(HeteroStats& into, const HeteroStats& from);
 
 }  // namespace omega::core

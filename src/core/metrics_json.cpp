@@ -6,8 +6,11 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 
 #include "util/trace.h"
 
@@ -437,207 +440,113 @@ void write_json_file(const std::string& path, const JsonValue& value) {
 // Schema builders
 // ---------------------------------------------------------------------------
 
+namespace {
+
+template <class... Visitors>
+struct overloaded : Visitors... {
+  using Visitors::operator()...;
+};
+
+JsonValue& object_member(JsonValue& doc, const char* name) {
+  if (*name == '\0') return doc;
+  if (doc.find(name) == nullptr) doc.set(name, JsonValue::object());
+  return doc.at(name);
+}
+
+template <class Block, std::size_t N>
+void write_fields(JsonValue& object, const Block& block,
+                  const ProfileField<Block> (&fields)[N]) {
+  for (const ProfileField<Block>& field : fields) {
+    std::visit(
+        [&](auto member) {
+          object.set(field.key, JsonValue(std::invoke(member, block)));
+        },
+        field.member);
+  }
+}
+
+/// Sum and Latest fields only: Plan fields describe the run that wrote the
+/// document and are never read back.
+template <class Block, std::size_t N>
+void read_fields(const JsonValue& object, Block& block,
+                 const ProfileField<Block> (&fields)[N]) {
+  for (const ProfileField<Block>& field : fields) {
+    if (field.merge == FieldMerge::Plan) continue;
+    std::visit(
+        [&](auto member) {
+          if constexpr (std::is_member_object_pointer_v<decltype(member)>) {
+            auto& value = block.*member;
+            const JsonValue& json = object.at(field.key);
+            using Value = std::remove_reference_t<decltype(value)>;
+            if constexpr (std::is_same_v<Value, std::uint64_t>) {
+              value = json.as_uint();
+            } else if constexpr (std::is_same_v<Value, double>) {
+              value = json.as_double();
+            } else if constexpr (std::is_same_v<Value, bool>) {
+              value = json.as_bool();
+            } else {
+              value = json.as_string();
+            }
+          }
+        },
+        field.member);
+  }
+}
+
+template <class Block, std::size_t N>
+bool carried(const ProfileField<Block> (&fields)[N]) {
+  return std::any_of(std::begin(fields), std::end(fields),
+                     [](const ProfileField<Block>& field) {
+                       return field.merge != FieldMerge::Plan;
+                     });
+}
+
+}  // namespace
+
+void write_profile_blocks(JsonValue& doc, const ScanProfile& profile) {
+  for_each_profile_block(overloaded{
+      [&](const char* object, auto block_of, const auto& fields) {
+        write_fields(object_member(doc, object), block_of(profile), fields);
+      },
+      [&](const char* object, const char* array, auto elements_of,
+          const auto& fields) {
+        JsonValue entries = JsonValue::array();
+        for (const auto& element : elements_of(profile)) {
+          JsonValue entry = JsonValue::object();
+          write_fields(entry, element, fields);
+          entries.push_back(std::move(entry));
+        }
+        object_member(doc, object).set(array, std::move(entries));
+      }});
+}
+
+void read_profile_blocks(const JsonValue& doc, ScanProfile& profile) {
+  const auto object_at = [&](const char* object) -> const JsonValue& {
+    return *object == '\0' ? doc : doc.at(object);
+  };
+  for_each_profile_block(overloaded{
+      [&](const char* object, auto block_of, const auto& fields) {
+        if (carried(fields)) {
+          read_fields(object_at(object), block_of(profile), fields);
+        }
+      },
+      [&](const char* object, const char* array, auto elements_of,
+          const auto& fields) {
+        if (!carried(fields)) return;
+        auto& elements = elements_of(profile);
+        elements.clear();
+        for (const JsonValue& entry : object_at(object).at(array).items()) {
+          read_fields(entry, elements.emplace_back(), fields);
+        }
+      }});
+}
+
 JsonValue scan_metrics(const std::string& run_name, const ScanProfile& profile) {
   JsonValue doc = JsonValue::object();
   doc.set("schema", kScanSchema);
   doc.set("schema_version", kSchemaVersion);
   doc.set("name", run_name);
-  doc.set("backend", profile.omega_backend);
-  doc.set("ld_backend", profile.ld_backend);
-  doc.set("total_seconds", profile.total_seconds);
-
-  JsonValue stages = JsonValue::object();
-  stages.set("ld_reset_seconds", profile.stages.ld_reset_seconds);
-  stages.set("ld_relocate_seconds", profile.stages.ld_relocate_seconds);
-  stages.set("ld_extend_seconds", profile.stages.ld_extend_seconds);
-  stages.set("omega_search_seconds", profile.stages.omega_search_seconds);
-  stages.set("dispatch_seconds", profile.stages.dispatch_seconds);
-  stages.set("ld_seconds", profile.ld_seconds);
-  stages.set("omega_seconds", profile.omega_seconds);
-  doc.set("stages", std::move(stages));
-
-  JsonValue counters = JsonValue::object();
-  counters.set("positions_scanned", profile.positions_scanned);
-  counters.set("omega_evaluations", profile.omega_evaluations);
-  counters.set("r2_fetched", profile.r2_fetched);
-  counters.set("omega_throughput_per_s", profile.omega_throughput());
-  counters.set("ld_throughput_per_s", profile.ld_throughput());
-  doc.set("counters", std::move(counters));
-
-  JsonValue relocation = JsonValue::object();
-  relocation.set("resets", profile.relocation.resets);
-  relocation.set("relocations", profile.relocation.relocations);
-  relocation.set("cells_reused", profile.relocation.cells_reused);
-  relocation.set("cells_recomputed", profile.relocation.cells_recomputed);
-  doc.set("relocation", std::move(relocation));
-
-  JsonValue gpu = JsonValue::object();
-  gpu.set("kernel1_launches", profile.gpu.kernel1_launches);
-  gpu.set("kernel2_launches", profile.gpu.kernel2_launches);
-  gpu.set("kernel1_omegas", profile.gpu.kernel1_omegas);
-  gpu.set("kernel2_omegas", profile.gpu.kernel2_omegas);
-  gpu.set("modeled_kernel_seconds", profile.gpu.modeled_kernel_seconds);
-  gpu.set("modeled_prep_seconds", profile.gpu.modeled_prep_seconds);
-  gpu.set("modeled_transfer_seconds", profile.gpu.modeled_transfer_seconds);
-  gpu.set("modeled_total_seconds", profile.gpu.modeled_total_seconds);
-  gpu.set("bytes_moved", profile.gpu.bytes_moved);
-  doc.set("gpu", std::move(gpu));
-
-  JsonValue fpga = JsonValue::object();
-  fpga.set("pipeline_cycles", profile.fpga.pipeline_cycles);
-  fpga.set("stall_cycles", profile.fpga.stall_cycles);
-  fpga.set("hw_omegas", profile.fpga.hw_omegas);
-  fpga.set("sw_omegas", profile.fpga.sw_omegas);
-  fpga.set("modeled_seconds", profile.fpga.modeled_seconds);
-  doc.set("fpga", std::move(fpga));
-
-  // v3: fault injection + recovery accounting (docs/ROBUSTNESS.md).
-  JsonValue faults = JsonValue::object();
-  faults.set("injected", profile.faults.faults_injected);
-  faults.set("injected_kernel_launch", profile.faults.injected_kernel_launch);
-  faults.set("injected_timeout", profile.faults.injected_timeout);
-  faults.set("injected_nan", profile.faults.injected_nan);
-  faults.set("injected_device_lost", profile.faults.injected_device_lost);
-  faults.set("errors_caught", profile.faults.errors_caught);
-  faults.set("invalid_results", profile.faults.invalid_results);
-  faults.set("retries", profile.faults.retries);
-  faults.set("quarantined_positions", profile.faults.quarantined_positions);
-  faults.set("degradations", profile.faults.degradations);
-  faults.set("backoff_virtual_seconds",
-             profile.faults.backoff_virtual_seconds);
-  doc.set("faults", std::move(faults));
-
-  // v4: CPU omega-kernel dispatch decision + per-body evaluation counts
-  // (docs/METRICS.md "kernel" block).
-  JsonValue kernel = JsonValue::object();
-  kernel.set("requested", profile.kernel.requested);
-  kernel.set("selected", profile.kernel.selected);
-  kernel.set("avx2_supported", profile.kernel.avx2_supported);
-  kernel.set("positions", profile.kernel.positions);
-  kernel.set("scalar_evaluations", profile.kernel.scalar_evaluations);
-  kernel.set("portable_evaluations", profile.kernel.portable_evaluations);
-  kernel.set("avx2_evaluations", profile.kernel.avx2_evaluations);
-  doc.set("kernel", std::move(kernel));
-
-  // v5: streaming chunk-pipeline accounting (docs/STREAMING.md); all-zero
-  // for in-memory scans.
-  JsonValue stream = JsonValue::object();
-  stream.set("chunks", profile.stream.chunks);
-  stream.set("chunk_sites_target", profile.stream.chunk_sites_target);
-  stream.set("total_sites", profile.stream.total_sites);
-  stream.set("overlap_sites", profile.stream.overlap_sites);
-  stream.set("peak_resident_sites", profile.stream.peak_resident_sites);
-  stream.set("seam_carryovers", profile.stream.seam_carryovers);
-  stream.set("failed_chunks", profile.stream.failed_chunks);
-  stream.set("io_seconds", profile.stream.io_seconds);
-  stream.set("io_stall_seconds", profile.stream.io_stall_seconds);
-  stream.set("compute_seconds", profile.stream.compute_seconds);
-  stream.set("io_overlap_ratio", profile.stream.io_overlap_ratio());
-  doc.set("stream", std::move(stream));
-
-  // v7: work-stealing scheduler accounting (docs/PERF.md "Parallel scan");
-  // workers == 1 and spans == 0 for serial scans.
-  JsonValue sched = JsonValue::object();
-  sched.set("requested_threads", profile.sched.requested_threads);
-  sched.set("workers", profile.sched.workers);
-  sched.set("spans", profile.sched.spans);
-  sched.set("steals", profile.sched.steals);
-  sched.set("active_workers", profile.sched.active_workers());
-  JsonValue workers_detail = JsonValue::array();
-  for (const SchedWorkerStats& worker : profile.sched.workers_detail) {
-    JsonValue entry = JsonValue::object();
-    entry.set("spans", worker.spans);
-    entry.set("steals", worker.steals);
-    entry.set("positions", worker.positions);
-    entry.set("busy_seconds", worker.busy_seconds);
-    workers_detail.push_back(std::move(entry));
-  }
-  sched.set("workers_detail", std::move(workers_detail));
-  doc.set("sched", std::move(sched));
-
-  // v8: crash-safe runtime accounting (docs/ROBUSTNESS.md "Checkpoint,
-  // cancellation, and deadlines"); defaults describe an uninterrupted,
-  // checkpoint-free run.
-  JsonValue runtime = JsonValue::object();
-  runtime.set("partial", profile.runtime.partial);
-  runtime.set("cancelled", profile.runtime.cancelled);
-  runtime.set("cancel_reason", profile.runtime.cancel_reason);
-  runtime.set("deadline_seconds", profile.runtime.deadline_seconds);
-  runtime.set("deadline_outcome", profile.runtime.deadline_outcome);
-  runtime.set("cancel_latency_seconds",
-              profile.runtime.cancel_latency_seconds);
-  runtime.set("positions_skipped", profile.runtime.positions_skipped);
-  runtime.set("checkpoints_written", profile.runtime.checkpoints_written);
-  runtime.set("checkpoint_bytes", profile.runtime.checkpoint_bytes);
-  runtime.set("resume_validations", profile.runtime.resume_validations);
-  runtime.set("chunks_resumed", profile.runtime.chunks_resumed);
-  doc.set("runtime", std::move(runtime));
-
-  // v9: LD-engine accounting (docs/PERF.md "LD engines"): the resolved
-  // engine + microkernel ISA, the packed engine's panel-cache hit/miss
-  // counters, and the pack/kernel time split.
-  JsonValue ld = JsonValue::object();
-  ld.set("requested", profile.ld.requested);
-  ld.set("engine", profile.ld.engine);
-  ld.set("isa", profile.ld.isa);
-  ld.set("panel_packs", profile.ld.panel_packs);
-  ld.set("panel_hits", profile.ld.panel_hits);
-  ld.set("pack_seconds", profile.ld.pack_seconds);
-  ld.set("kernel_seconds", profile.ld.kernel_seconds);
-  doc.set("ld", std::move(ld));
-
-  // v10: heterogeneous co-scheduler accounting (docs/PERF.md "Heterogeneous
-  // co-scheduling"); disabled/all-zero unless the scan ran --backend=hetero.
-  JsonValue hetero = JsonValue::object();
-  hetero.set("enabled", profile.hetero.enabled);
-  hetero.set("split", profile.hetero.split);
-  hetero.set("plans", profile.hetero.plans);
-  hetero.set("redispatched_spans", profile.hetero.redispatched_spans);
-  hetero.set("redispatched_positions", profile.hetero.redispatched_positions);
-  hetero.set("straggler_spans", profile.hetero.straggler_spans);
-  hetero.set("faulted_spans", profile.hetero.faulted_spans);
-  JsonValue partitions = JsonValue::array();
-  for (const HeteroPartitionStats& partition : profile.hetero.partitions) {
-    JsonValue entry = JsonValue::object();
-    entry.set("backend", partition.backend);
-    entry.set("weight", partition.weight);
-    entry.set("planned_positions", partition.planned_positions);
-    entry.set("actual_positions", partition.actual_positions);
-    entry.set("spans", partition.spans);
-    entry.set("modeled_seconds", partition.modeled_seconds);
-    entry.set("measured_seconds", partition.measured_seconds);
-    // v11: measured-throughput EWMA next to the model's prediction.
-    entry.set("measured_rate_per_s", partition.measured_rate_per_s);
-    entry.set("rate_observations", partition.rate_observations);
-    partitions.push_back(std::move(entry));
-  }
-  hetero.set("partitions", std::move(partitions));
-  doc.set("hetero", std::move(hetero));
-
-  // v11: hardware-counter per-stage profile (docs/OBSERVABILITY.md
-  // "Hardware counters"); disabled with an empty stage list unless the scan
-  // ran with util::perf enabled (CLI --perf-counters).
-  JsonValue perf = JsonValue::object();
-  perf.set("enabled", profile.perf.enabled);
-  perf.set("source", profile.perf.source);
-  JsonValue perf_stages = JsonValue::array();
-  for (const PerfStageStats& stage : profile.perf.stages) {
-    JsonValue entry = JsonValue::object();
-    entry.set("stage", stage.stage);
-    entry.set("scopes", stage.scopes);
-    entry.set("cycles", stage.cycles);
-    entry.set("instructions", stage.instructions);
-    entry.set("cache_misses", stage.cache_misses);
-    entry.set("branch_misses", stage.branch_misses);
-    entry.set("task_clock_seconds", stage.task_clock_seconds);
-    entry.set("ipc", stage.ipc());
-    entry.set("cache_mpki", stage.cache_mpki());
-    entry.set("branch_mpki", stage.branch_mpki());
-    perf_stages.push_back(std::move(entry));
-  }
-  perf.set("stages", std::move(perf_stages));
-  doc.set("perf", std::move(perf));
-
+  write_profile_blocks(doc, profile);
   // v6: distributional telemetry (docs/OBSERVABILITY.md) — the registry
   // delta attributed to this scan.
   doc.set("telemetry", telemetry_json(profile.telemetry));

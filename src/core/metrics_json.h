@@ -113,9 +113,20 @@ class JsonValue {
 void write_json_file(const std::string& path, const JsonValue& value);
 
 /// The stable per-scan metrics document ("omega.scan.metrics", version
-/// kSchemaVersion). `run_name` identifies the producing run/bench/CLI
-/// invocation. See docs/METRICS.md for the field-by-field description.
+/// kSchemaVersion): the header, write_profile_blocks, then the telemetry
+/// block. `run_name` identifies the producing run/bench/CLI invocation. See
+/// docs/METRICS.md for the field-by-field description.
 JsonValue scan_metrics(const std::string& run_name, const ScanProfile& profile);
+
+/// Writes every table-declared profile block (core/scanner.h
+/// for_each_profile_block) into object `doc`, in metrics-document order. The
+/// metrics document and the checkpoint's totals both use it.
+void write_profile_blocks(JsonValue& doc, const ScanProfile& profile);
+
+/// Inverse of write_profile_blocks for the Sum and Latest fields (the ones
+/// merge_profile folds); Plan and derived fields keep their defaults.
+/// Throws std::out_of_range / std::logic_error on a missing or mistyped key.
+void read_profile_blocks(const JsonValue& doc, ScanProfile& profile);
 
 /// Current util/trace.h buffer as a JSON array of {name, thread, start_s,
 /// duration_s} events (empty array when tracing is off). Thread ids are

@@ -1,14 +1,19 @@
 #pragma once
 // Internal glue shared by the two scan drivers — the in-memory scan
 // (scanner.cpp) and the streaming chunked scan (stream_scanner.cpp) — and
-// their one position loop (core/scan_executor.h): DP-matrix advance, the
-// recovery-wrapped backend search, profile merging, and the end-of-scan
-// tail. Any divergence here would silently break the streamed-equals-in-
-// memory bitwise guarantee the streaming subsystem is tested against.
+// their one position loop (core/scan_executor.h): the start-up, DP-matrix
+// advance, the recovery-wrapped backend search, profile merging, and the
+// end-of-scan tail. Any divergence here would silently break the
+// streamed-equals-in-memory bitwise guarantee the streaming subsystem is
+// tested against.
 //
 // Not installed API; include only from src/core/*.cpp.
 
 #include <atomic>
+#include <cstdint>
+#include <type_traits>
+#include <variant>
+#include <vector>
 
 #include "core/dp_matrix.h"
 #include "core/grid.h"
@@ -64,12 +69,36 @@ struct CancelState {
   }
 };
 
-/// Populates the scan's CancelState from the options: the caller's token, or
-/// an internal one when only a deadline was set (so expiry still has a flag
-/// to raise), or disabled entirely. In-place because CancelState holds
-/// atomics and cannot be returned by value. `internal` must outlive the scan.
-void init_cancel_state(CancelState& cancel, const ScannerOptions& options,
-                       util::CancelToken& internal);
+/// Start-up shared by scan() and stream_scan(): validates the config and the
+/// recovery policy, resolves the CPU kernel (a forced-but-unavailable Avx2
+/// throws std::runtime_error here, before any work) and the thread-count
+/// convention once, takes the registry snapshot the end-of-scan telemetry
+/// delta is measured from (ScanProfile::telemetry), and arms cancellation:
+/// the caller's token, or an internal one when only a deadline was set.
+/// Constructed in place: CancelState holds atomics.
+struct ScanSetup {
+  explicit ScanSetup(const ScannerOptions& options);
+
+  /// Scores seeded with every grid position's bp coordinate, and a profile
+  /// carrying the start-up decisions (kernel dispatch, requested threads).
+  [[nodiscard]] ScanResult seed_result(
+      const std::vector<GridPosition>& grid) const;
+  /// Null when no token and no deadline were given: no polling at all.
+  [[nodiscard]] const CancelState* cancel() const noexcept {
+    return cancel_state.enabled() ? &cancel_state : nullptr;
+  }
+
+  const ScannerOptions& options;
+  CpuKernelKind kernel = CpuKernelKind::Auto;  // resolved, never Auto
+  std::size_t threads = 1;                     // resolved, never 0
+  util::telemetry::RegistrySnapshot telemetry_begin;
+  util::CancelToken internal_token;
+  CancelState cancel_state;
+};
+
+/// Valid positions of `grid`: the progress reporter's total.
+[[nodiscard]] std::uint64_t count_valid_positions(
+    const std::vector<GridPosition>& grid) noexcept;
 
 /// End-of-scan tail shared by scan() and stream_scan() — the end of a
 /// scan, the empty-plan stream, every checkpoint totals snapshot, and the end
@@ -95,13 +124,32 @@ bool advance_matrix(DpMatrix& m, bool& m_live, bool reuse,
                     const GridPosition& position, const ld::LdEngine& engine,
                     StageTimes& stages, par::ThreadPool* pool = nullptr);
 
-/// Folds the matrix's relocation/fetch counters into the profile.
-void merge_matrix_stats(ScanProfile& profile, const DpMatrix& m);
-
-/// Folds a worker's (or chunk's) profile into the scan-wide one. Times add
-/// up as CPU-seconds across workers (ScanProfile's documented multithreaded
-/// semantics); counters add exactly.
-void merge_worker_profile(ScanProfile& into, const ScanProfile& from);
+/// Folds `from` into `into` field by field, by each entry's merge rule
+/// (FieldMerge): Sum adds, Latest assigns, Plan fields and derived values are
+/// left alone.
+template <class Block, std::size_t N>
+void merge_fields(Block& into, const Block& from,
+                  const ProfileField<Block> (&fields)[N]) {
+  for (const ProfileField<Block>& field : fields) {
+    if (field.merge == FieldMerge::Plan) continue;
+    std::visit(
+        [&](auto member) {
+          if constexpr (std::is_member_object_pointer_v<decltype(member)>) {
+            auto& value = into.*member;
+            using Value = std::remove_reference_t<decltype(value)>;
+            if constexpr (std::is_arithmetic_v<Value> &&
+                          !std::is_same_v<Value, bool>) {
+              if (field.merge == FieldMerge::Sum) {
+                value += from.*member;
+                return;
+              }
+            }
+            value = from.*member;
+          }
+        },
+        field.member);
+  }
+}
 
 /// Runs the recovery-wrapped omega search for one valid grid position and
 /// records the outcome into `score` (valid on success) and `profile`

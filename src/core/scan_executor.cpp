@@ -509,10 +509,14 @@ void ScanExecutor::finalize(ScanProfile& profile) const {
     ScanProfile finalized = worker.profile;
     finalized.ld_seconds = finalized.stages.ld_total();
     finalized.omega_seconds = finalized.stages.omega_search_seconds;
-    merge_matrix_stats(finalized, worker.state.matrix);
+    const DpMatrix& matrix = worker.state.matrix;
+    const DpMatrixStats& stats = matrix.stats();
+    finalized.relocation = {stats.resets, stats.relocations,
+                            stats.cells_reused, stats.cells_recomputed};
+    finalized.r2_fetched = matrix.r2_fetches();
     worker.backend->contribute(finalized);
     finalized.omega_backend = worker.backend->name();
-    merge_worker_profile(profile, finalized);
+    merge_profile(profile, finalized);
   }
   if (hetero_) {
     profile.omega_backend = "hetero";

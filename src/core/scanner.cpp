@@ -6,6 +6,7 @@
 #include <string_view>
 #include <thread>
 
+#include "core/hetero_scheduler.h"
 #include "core/resilience.h"
 #include "core/scan_driver.h"
 #include "core/scan_executor.h"
@@ -124,77 +125,41 @@ bool advance_matrix(DpMatrix& m, bool& m_live, bool reuse,
   return relocate;
 }
 
-void merge_matrix_stats(ScanProfile& profile, const DpMatrix& m) {
-  const DpMatrixStats& stats = m.stats();
-  profile.relocation.resets += stats.resets;
-  profile.relocation.relocations += stats.relocations;
-  profile.relocation.cells_reused += stats.cells_reused;
-  profile.relocation.cells_recomputed += stats.cells_recomputed;
-  profile.r2_fetched += m.r2_fetches();
-}
-
-/// Folds a worker's chunk profile into the scan-wide one. Times add up as
-/// CPU-seconds across workers (ScanProfile's documented multithreaded
-/// semantics); counters add exactly.
-void merge_worker_profile(ScanProfile& into, const ScanProfile& from) {
-  into.ld_seconds += from.ld_seconds;
-  into.omega_seconds += from.omega_seconds;
-  into.omega_evaluations += from.omega_evaluations;
-  into.r2_fetched += from.r2_fetched;
-  into.positions_scanned += from.positions_scanned;
-  into.stream.seam_carryovers += from.stream.seam_carryovers;
-  into.stages.ld_reset_seconds += from.stages.ld_reset_seconds;
-  into.stages.ld_relocate_seconds += from.stages.ld_relocate_seconds;
-  into.stages.ld_extend_seconds += from.stages.ld_extend_seconds;
-  into.stages.omega_search_seconds += from.stages.omega_search_seconds;
-  into.stages.dispatch_seconds += from.stages.dispatch_seconds;
-  into.relocation.resets += from.relocation.resets;
-  into.relocation.relocations += from.relocation.relocations;
-  into.relocation.cells_reused += from.relocation.cells_reused;
-  into.relocation.cells_recomputed += from.relocation.cells_recomputed;
-  into.gpu.kernel1_launches += from.gpu.kernel1_launches;
-  into.gpu.kernel2_launches += from.gpu.kernel2_launches;
-  into.gpu.kernel1_omegas += from.gpu.kernel1_omegas;
-  into.gpu.kernel2_omegas += from.gpu.kernel2_omegas;
-  into.gpu.modeled_kernel_seconds += from.gpu.modeled_kernel_seconds;
-  into.gpu.modeled_prep_seconds += from.gpu.modeled_prep_seconds;
-  into.gpu.modeled_transfer_seconds += from.gpu.modeled_transfer_seconds;
-  into.gpu.modeled_total_seconds += from.gpu.modeled_total_seconds;
-  into.gpu.bytes_moved += from.gpu.bytes_moved;
-  into.fpga.pipeline_cycles += from.fpga.pipeline_cycles;
-  into.fpga.stall_cycles += from.fpga.stall_cycles;
-  into.fpga.hw_omegas += from.fpga.hw_omegas;
-  into.fpga.sw_omegas += from.fpga.sw_omegas;
-  into.fpga.modeled_seconds += from.fpga.modeled_seconds;
-  into.faults.faults_injected += from.faults.faults_injected;
-  into.faults.injected_kernel_launch += from.faults.injected_kernel_launch;
-  into.faults.injected_timeout += from.faults.injected_timeout;
-  into.faults.injected_nan += from.faults.injected_nan;
-  into.faults.injected_device_lost += from.faults.injected_device_lost;
-  into.faults.errors_caught += from.faults.errors_caught;
-  into.faults.invalid_results += from.faults.invalid_results;
-  into.faults.retries += from.faults.retries;
-  into.faults.quarantined_positions += from.faults.quarantined_positions;
-  into.faults.degradations += from.faults.degradations;
-  into.faults.backoff_virtual_seconds += from.faults.backoff_virtual_seconds;
-  into.kernel.positions += from.kernel.positions;
-  into.kernel.scalar_evaluations += from.kernel.scalar_evaluations;
-  into.kernel.portable_evaluations += from.kernel.portable_evaluations;
-  into.kernel.avx2_evaluations += from.kernel.avx2_evaluations;
-  if (into.omega_backend.empty()) into.omega_backend = from.omega_backend;
-}
-
-void init_cancel_state(CancelState& cancel, const ScannerOptions& options,
-                       util::CancelToken& internal) {
+ScanSetup::ScanSetup(const ScannerOptions& options_in) : options(options_in) {
+  options.config.validate();
+  options.recovery.validate();
+  kernel = resolve_cpu_kernel(options.cpu_kernel);
+  threads = resolve_scan_threads(options.threads);
+  telemetry_begin = util::telemetry::snapshot();
   if (options.cancel != nullptr) {
-    cancel.token = options.cancel;
+    cancel_state.token = options.cancel;
   } else if (options.deadline_seconds > 0.0) {
-    cancel.token = &internal;
+    cancel_state.token = &internal_token;
   }
-  if (cancel.token != nullptr && options.deadline_seconds > 0.0) {
-    cancel.deadline =
+  if (cancel_state.token != nullptr && options.deadline_seconds > 0.0) {
+    cancel_state.deadline =
         util::Deadline(options.deadline_seconds, options.deadline_clock);
   }
+}
+
+ScanResult ScanSetup::seed_result(const std::vector<GridPosition>& grid) const {
+  ScanResult result;
+  result.scores.resize(grid.size());
+  for (std::size_t g = 0; g < grid.size(); ++g) {
+    result.scores[g].position_bp = grid[g].position_bp;
+  }
+  result.profile.kernel.requested = cpu_kernel_name(options.cpu_kernel);
+  result.profile.kernel.selected = cpu_kernel_name(kernel);
+  result.profile.kernel.avx2_supported = cpu_kernel_avx2_available();
+  result.profile.sched.requested_threads = options.threads;
+  return result;
+}
+
+std::uint64_t count_valid_positions(
+    const std::vector<GridPosition>& grid) noexcept {
+  return static_cast<std::uint64_t>(std::count_if(
+      grid.begin(), grid.end(),
+      [](const GridPosition& position) { return position.valid; }));
 }
 
 namespace {
@@ -372,6 +337,36 @@ bool score_position(OmegaBackend& backend, const DpMatrix& m,
 
 }  // namespace detail
 
+void merge_profile(ScanProfile& into, const ScanProfile& from) {
+  using detail::merge_fields;
+  merge_fields(into, from, kProfileRootFields);
+  merge_fields(into, from, kProfileStageFields);
+  merge_fields(into, from, kProfileCounterFields);
+  merge_fields(into.stages, from.stages, kStageFields);
+  merge_fields(into.relocation, from.relocation, kRelocationFields);
+  merge_fields(into.gpu, from.gpu, kGpuFields);
+  merge_fields(into.fpga, from.fpga, kFpgaFields);
+  merge_fields(into.faults, from.faults, kFaultFields);
+  merge_fields(into.kernel, from.kernel, kKernelFields);
+  merge_fields(into.stream, from.stream, kStreamFields);
+  SchedStats& sched = into.sched;
+  if (sched.workers_detail.size() < from.sched.workers_detail.size()) {
+    sched.workers_detail.resize(from.sched.workers_detail.size());
+  }
+  for (std::size_t w = 0; w < from.sched.workers_detail.size(); ++w) {
+    merge_fields(sched.workers_detail[w], from.sched.workers_detail[w],
+                 kSchedWorkerFields);
+  }
+  sched.spans = 0;
+  sched.steals = 0;
+  for (const SchedWorkerStats& worker : sched.workers_detail) {
+    sched.spans += worker.spans;
+    sched.steals += worker.steals;
+  }
+  merge_hetero_stats(into.hetero, from.hetero);
+  if (into.omega_backend.empty()) into.omega_backend = from.omega_backend;
+}
+
 // ---------------------------------------------------------------------------
 // CpuOmegaBackend
 // ---------------------------------------------------------------------------
@@ -430,28 +425,10 @@ std::vector<PositionScore> ScanResult::top(std::size_t k) const {
 ScanResult scan(const io::Dataset& dataset, const ScannerOptions& options,
                 const std::function<std::unique_ptr<OmegaBackend>()>&
                     backend_factory) {
-  options.config.validate();
-  options.recovery.validate();
-  // Resolve the CPU kernel once, up front: a forced-but-unavailable Avx2
-  // request fails here (std::runtime_error) before any work starts.
-  const CpuKernelKind kernel = resolve_cpu_kernel(options.cpu_kernel);
-  // Resolve the thread-count convention (0 = hardware concurrency) exactly
-  // once; everything downstream — worker layout, pool size, profile — sees
-  // the resolved count.
-  const std::size_t threads = resolve_scan_threads(options.threads);
   const util::trace::Span scan_span("scan");
-  util::Timer total;
-  // Registry state at scan start: the end-of-scan delta attributes the
-  // process-wide telemetry to this scan (ScanProfile::telemetry docs).
-  const util::telemetry::RegistrySnapshot telemetry_begin =
-      util::telemetry::snapshot();
-  // Cooperative cancellation: the caller's token, or an internal one when
-  // only a deadline was set. Null `cancel` means no polling overhead at all.
-  util::CancelToken internal_token;
-  detail::CancelState cancel_state;
-  detail::init_cancel_state(cancel_state, options, internal_token);
-  const detail::CancelState* cancel =
-      cancel_state.enabled() ? &cancel_state : nullptr;
+  const util::Timer total;
+  const detail::ScanSetup setup(options);
+  const detail::CancelState* cancel = setup.cancel();
 
   const ld::SnpMatrix snps(dataset);
   const auto engine = options.ld_factory
@@ -459,27 +436,16 @@ ScanResult scan(const io::Dataset& dataset, const ScannerOptions& options,
                           : make_ld_engine(options.ld, dataset, snps);
   const auto grid = build_grid(dataset, options.config);
 
-  ScanResult result;
-  result.scores.resize(grid.size());
-  for (std::size_t g = 0; g < grid.size(); ++g) {
-    result.scores[g].position_bp = grid[g].position_bp;
-  }
+  ScanResult result = setup.seed_result(grid);
   result.profile.ld_backend = engine->name();
-  result.profile.kernel.requested = cpu_kernel_name(options.cpu_kernel);
-  result.profile.kernel.selected = cpu_kernel_name(kernel);
-  result.profile.kernel.avx2_supported = cpu_kernel_avx2_available();
-  result.profile.sched.requested_threads = options.threads;
-
   if (options.progress != nullptr) {
-    std::uint64_t valid_positions = 0;
-    for (const GridPosition& position : grid) {
-      if (position.valid) ++valid_positions;
-    }
-    options.progress->begin(valid_positions, /*chunks_total=*/0);
+    options.progress->begin(detail::count_valid_positions(grid),
+                            /*chunks_total=*/0);
   }
   {
     // Scoped so the worker matrices are freed inside the timed scan.
-    detail::ScanExecutor executor(options, kernel, threads, backend_factory);
+    detail::ScanExecutor executor(options, setup.kernel, setup.threads,
+                                  backend_factory);
     result.profile.sched.workers = executor.workers();
     executor.run(grid, 0, grid.size(), *engine, result.scores,
                  result.profile.sched, options.progress, cancel);
@@ -488,8 +454,9 @@ ScanResult scan(const io::Dataset& dataset, const ScannerOptions& options,
     // throughput, as ScanProfile documents.
     executor.finalize(result.profile);
   }
-  detail::finish_profile(result.profile, cancel_state, options, grid,
-                         result.scores, total.seconds(), telemetry_begin);
+  detail::finish_profile(result.profile, setup.cancel_state, options, grid,
+                         result.scores, total.seconds(),
+                         setup.telemetry_begin);
   if (options.progress != nullptr) options.progress->finish();
   return result;
 }

@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/dp_matrix.h"
@@ -234,6 +235,32 @@ struct PositionScore {
   bool quarantined = false;
 };
 
+/// How a profile field folds across workers, stream chunks and checkpoint
+/// resumes (merge_profile), and whether a checkpoint carries it.
+enum class FieldMerge {
+  Sum,     // into += from; carried by checkpoints
+  Latest,  // into = from; carried by checkpoints
+  Plan,    // this run's plan, per-run state, or derived: written only
+};
+
+/// One profile field as every sink sees it: its JSON key (the metrics block
+/// and the checkpoint's totals use the same one), where it lives in its
+/// block struct, and its merge rule (Sum unless stated). A derived value
+/// names the const member function computing it and is always Plan. Each
+/// block declares its fields once, in a table next to its struct; the
+/// metrics writer, the checkpoint reader and merge_profile all walk those
+/// tables, so adding a counter means adding one table entry.
+template <class Block>
+struct ProfileField {
+  using Member = std::variant<std::uint64_t Block::*, double Block::*,
+                              bool Block::*, std::string Block::*,
+                              std::uint64_t (Block::*)() const noexcept,
+                              double (Block::*)() const noexcept>;
+  const char* key;
+  Member member;
+  FieldMerge merge = FieldMerge::Sum;
+};
+
 /// Per-stage time buckets (profile v2). The three DP-matrix stages add up to
 /// the legacy LD bucket; omega_search is the backend max-omega loop.
 /// dispatch_seconds is an *informational sub-bucket of omega_search* — the
@@ -253,6 +280,14 @@ struct StageTimes {
   }
 };
 
+inline constexpr ProfileField<StageTimes> kStageFields[] = {
+    {"ld_reset_seconds", &StageTimes::ld_reset_seconds},
+    {"ld_relocate_seconds", &StageTimes::ld_relocate_seconds},
+    {"ld_extend_seconds", &StageTimes::ld_extend_seconds},
+    {"omega_search_seconds", &StageTimes::omega_search_seconds},
+    {"dispatch_seconds", &StageTimes::dispatch_seconds},
+};
+
 /// DP-matrix relocation effectiveness (the paper's data-reuse optimization):
 /// how often consecutive grid positions reused the overlapping sub-triangle
 /// and how many M cells that reuse saved.
@@ -261,6 +296,13 @@ struct RelocationStats {
   std::uint64_t relocations = 0;  // positions that kept the overlap (hits)
   std::uint64_t cells_reused = 0;      // M entries carried over by relocation
   std::uint64_t cells_recomputed = 0;  // M entries computed by extend()
+};
+
+inline constexpr ProfileField<RelocationStats> kRelocationFields[] = {
+    {"resets", &RelocationStats::resets},
+    {"relocations", &RelocationStats::relocations},
+    {"cells_reused", &RelocationStats::cells_reused},
+    {"cells_recomputed", &RelocationStats::cells_recomputed},
 };
 
 /// Simulated-GPU counters: the Eq. (4) two-kernel dispatch and the modeled
@@ -275,6 +317,18 @@ struct GpuProfile {
   double modeled_transfer_seconds = 0.0;
   double modeled_total_seconds = 0.0;
   std::uint64_t bytes_moved = 0;
+};
+
+inline constexpr ProfileField<GpuProfile> kGpuFields[] = {
+    {"kernel1_launches", &GpuProfile::kernel1_launches},
+    {"kernel2_launches", &GpuProfile::kernel2_launches},
+    {"kernel1_omegas", &GpuProfile::kernel1_omegas},
+    {"kernel2_omegas", &GpuProfile::kernel2_omegas},
+    {"modeled_kernel_seconds", &GpuProfile::modeled_kernel_seconds},
+    {"modeled_prep_seconds", &GpuProfile::modeled_prep_seconds},
+    {"modeled_transfer_seconds", &GpuProfile::modeled_transfer_seconds},
+    {"modeled_total_seconds", &GpuProfile::modeled_total_seconds},
+    {"bytes_moved", &GpuProfile::bytes_moved},
 };
 
 /// Fault-tolerance counters (profile v3): what the injectors produced and
@@ -298,6 +352,20 @@ struct FaultRecoveryStats {
   double backoff_virtual_seconds = 0.0;
 };
 
+inline constexpr ProfileField<FaultRecoveryStats> kFaultFields[] = {
+    {"injected", &FaultRecoveryStats::faults_injected},
+    {"injected_kernel_launch", &FaultRecoveryStats::injected_kernel_launch},
+    {"injected_timeout", &FaultRecoveryStats::injected_timeout},
+    {"injected_nan", &FaultRecoveryStats::injected_nan},
+    {"injected_device_lost", &FaultRecoveryStats::injected_device_lost},
+    {"errors_caught", &FaultRecoveryStats::errors_caught},
+    {"invalid_results", &FaultRecoveryStats::invalid_results},
+    {"retries", &FaultRecoveryStats::retries},
+    {"quarantined_positions", &FaultRecoveryStats::quarantined_positions},
+    {"degradations", &FaultRecoveryStats::degradations},
+    {"backoff_virtual_seconds", &FaultRecoveryStats::backoff_virtual_seconds},
+};
+
 /// CPU omega-kernel dispatch record (profile/metrics schema v4): which kernel
 /// was requested, what the dispatcher selected for this binary/host, and how
 /// many Eq. (2) evaluations each kernel body performed. Evaluation counters
@@ -311,6 +379,16 @@ struct CpuKernelStats {
   std::uint64_t scalar_evaluations = 0;
   std::uint64_t portable_evaluations = 0;
   std::uint64_t avx2_evaluations = 0;
+};
+
+inline constexpr ProfileField<CpuKernelStats> kKernelFields[] = {
+    {"requested", &CpuKernelStats::requested, FieldMerge::Plan},
+    {"selected", &CpuKernelStats::selected, FieldMerge::Plan},
+    {"avx2_supported", &CpuKernelStats::avx2_supported, FieldMerge::Plan},
+    {"positions", &CpuKernelStats::positions},
+    {"scalar_evaluations", &CpuKernelStats::scalar_evaluations},
+    {"portable_evaluations", &CpuKernelStats::portable_evaluations},
+    {"avx2_evaluations", &CpuKernelStats::avx2_evaluations},
 };
 
 /// Streaming-scan accounting (profile/metrics schema v5): chunk geometry of
@@ -346,12 +424,35 @@ struct StreamStats {
   }
 };
 
+inline constexpr ProfileField<StreamStats> kStreamFields[] = {
+    {"chunks", &StreamStats::chunks, FieldMerge::Plan},
+    {"chunk_sites_target", &StreamStats::chunk_sites_target, FieldMerge::Plan},
+    {"total_sites", &StreamStats::total_sites, FieldMerge::Plan},
+    {"overlap_sites", &StreamStats::overlap_sites, FieldMerge::Plan},
+    {"peak_resident_sites", &StreamStats::peak_resident_sites,
+     FieldMerge::Plan},
+    {"seam_carryovers", &StreamStats::seam_carryovers},
+    {"failed_chunks", &StreamStats::failed_chunks},
+    {"io_seconds", &StreamStats::io_seconds},
+    {"io_stall_seconds", &StreamStats::io_stall_seconds},
+    {"compute_seconds", &StreamStats::compute_seconds},
+    {"io_overlap_ratio", &StreamStats::io_overlap_ratio, FieldMerge::Plan},
+};
+
 /// Per-worker accounting of the scan executor (schema v7).
 struct SchedWorkerStats {
   std::uint64_t spans = 0;      // spans this worker claimed (own + stolen)
   std::uint64_t steals = 0;     // claims served from another worker's queue
   std::uint64_t positions = 0;  // valid positions this worker scored
   double busy_seconds = 0.0;    // wall time inside claimed spans
+};
+
+/// Merged per worker index.
+inline constexpr ProfileField<SchedWorkerStats> kSchedWorkerFields[] = {
+    {"spans", &SchedWorkerStats::spans},
+    {"steals", &SchedWorkerStats::steals},
+    {"positions", &SchedWorkerStats::positions},
+    {"busy_seconds", &SchedWorkerStats::busy_seconds},
 };
 
 /// Scan-executor accounting (profile/metrics schema v7): how the grid was
@@ -380,6 +481,15 @@ struct SchedStats {
     }
     return active;
   }
+};
+
+/// spans/steals are totals of workers_detail; merge_profile recomputes them.
+inline constexpr ProfileField<SchedStats> kSchedFields[] = {
+    {"requested_threads", &SchedStats::requested_threads, FieldMerge::Plan},
+    {"workers", &SchedStats::workers, FieldMerge::Plan},
+    {"spans", &SchedStats::spans, FieldMerge::Plan},
+    {"steals", &SchedStats::steals, FieldMerge::Plan},
+    {"active_workers", &SchedStats::active_workers, FieldMerge::Plan},
 };
 
 /// Crash-safe runtime accounting (profile/metrics schema v8): cancellation,
@@ -412,6 +522,23 @@ struct RuntimeStats {
   std::uint64_t chunks_resumed = 0;
 };
 
+inline constexpr ProfileField<RuntimeStats> kRuntimeFields[] = {
+    {"partial", &RuntimeStats::partial, FieldMerge::Plan},
+    {"cancelled", &RuntimeStats::cancelled, FieldMerge::Plan},
+    {"cancel_reason", &RuntimeStats::cancel_reason, FieldMerge::Plan},
+    {"deadline_seconds", &RuntimeStats::deadline_seconds, FieldMerge::Plan},
+    {"deadline_outcome", &RuntimeStats::deadline_outcome, FieldMerge::Plan},
+    {"cancel_latency_seconds", &RuntimeStats::cancel_latency_seconds,
+     FieldMerge::Plan},
+    {"positions_skipped", &RuntimeStats::positions_skipped, FieldMerge::Plan},
+    {"checkpoints_written", &RuntimeStats::checkpoints_written,
+     FieldMerge::Plan},
+    {"checkpoint_bytes", &RuntimeStats::checkpoint_bytes, FieldMerge::Plan},
+    {"resume_validations", &RuntimeStats::resume_validations,
+     FieldMerge::Plan},
+    {"chunks_resumed", &RuntimeStats::chunks_resumed, FieldMerge::Plan},
+};
+
 /// LD-engine accounting (profile/metrics schema v9): which engine (and which
 /// requested kind) served the scan's r2 fetches, the packed engine's
 /// microkernel ISA and panel-cache effectiveness, and how the LD time splits
@@ -428,6 +555,17 @@ struct LdStats {
   std::uint64_t panel_hits = 0;   // panel-cache hits (blocks reused)
   double pack_seconds = 0.0;      // time packing bit panels
   double kernel_seconds = 0.0;    // time in the count microkernels
+};
+
+/// Derived from the telemetry delta at finalize, so never merged or carried.
+inline constexpr ProfileField<LdStats> kLdFields[] = {
+    {"requested", &LdStats::requested, FieldMerge::Plan},
+    {"engine", &LdStats::engine, FieldMerge::Plan},
+    {"isa", &LdStats::isa, FieldMerge::Plan},
+    {"panel_packs", &LdStats::panel_packs, FieldMerge::Plan},
+    {"panel_hits", &LdStats::panel_hits, FieldMerge::Plan},
+    {"pack_seconds", &LdStats::pack_seconds, FieldMerge::Plan},
+    {"kernel_seconds", &LdStats::kernel_seconds, FieldMerge::Plan},
 };
 
 /// Per-stage hardware-counter totals (profile/metrics schema v11). Filled by
@@ -467,6 +605,21 @@ struct PerfStageStats {
   }
 };
 
+/// Derived from the telemetry delta at finalize, like kLdFields.
+inline constexpr ProfileField<PerfStageStats> kPerfStageFields[] = {
+    {"stage", &PerfStageStats::stage, FieldMerge::Plan},
+    {"scopes", &PerfStageStats::scopes, FieldMerge::Plan},
+    {"cycles", &PerfStageStats::cycles, FieldMerge::Plan},
+    {"instructions", &PerfStageStats::instructions, FieldMerge::Plan},
+    {"cache_misses", &PerfStageStats::cache_misses, FieldMerge::Plan},
+    {"branch_misses", &PerfStageStats::branch_misses, FieldMerge::Plan},
+    {"task_clock_seconds", &PerfStageStats::task_clock_seconds,
+     FieldMerge::Plan},
+    {"ipc", &PerfStageStats::ipc, FieldMerge::Plan},
+    {"cache_mpki", &PerfStageStats::cache_mpki, FieldMerge::Plan},
+    {"branch_mpki", &PerfStageStats::branch_mpki, FieldMerge::Plan},
+};
+
 /// Hardware-counter profile of the scan (profile/metrics schema v11):
 /// disabled (empty) unless util::perf::enable() — the CLI's --perf-counters
 /// — was armed. `source` distinguishes real perf_event groups from the
@@ -484,6 +637,11 @@ struct PerfStats {
     }
     return nullptr;
   }
+};
+
+inline constexpr ProfileField<PerfStats> kPerfFields[] = {
+    {"enabled", &PerfStats::enabled, FieldMerge::Plan},
+    {"source", &PerfStats::source, FieldMerge::Plan},
 };
 
 /// Per-partition accounting of the heterogeneous co-scheduler (schema v10):
@@ -511,6 +669,21 @@ struct HeteroPartitionStats {
   std::uint64_t rate_observations = 0;
 };
 
+/// Merged by backend name (merge_hetero_stats), which also keeps a resumed
+/// measured_rate_per_s when the newer run made no observation.
+inline constexpr ProfileField<HeteroPartitionStats> kHeteroPartitionFields[] = {
+    {"backend", &HeteroPartitionStats::backend, FieldMerge::Latest},
+    {"weight", &HeteroPartitionStats::weight, FieldMerge::Latest},
+    {"planned_positions", &HeteroPartitionStats::planned_positions},
+    {"actual_positions", &HeteroPartitionStats::actual_positions},
+    {"spans", &HeteroPartitionStats::spans},
+    {"modeled_seconds", &HeteroPartitionStats::modeled_seconds},
+    {"measured_seconds", &HeteroPartitionStats::measured_seconds},
+    {"measured_rate_per_s", &HeteroPartitionStats::measured_rate_per_s,
+     FieldMerge::Latest},
+    {"rate_observations", &HeteroPartitionStats::rate_observations},
+};
+
 /// Heterogeneous co-scheduler accounting (profile/metrics schema v10):
 /// all-zero/disabled unless the scan ran with --backend=hetero.
 struct HeteroStats {
@@ -527,6 +700,16 @@ struct HeteroStats {
   std::vector<HeteroPartitionStats> partitions;
 };
 
+inline constexpr ProfileField<HeteroStats> kHeteroFields[] = {
+    {"enabled", &HeteroStats::enabled, FieldMerge::Latest},
+    {"split", &HeteroStats::split, FieldMerge::Latest},
+    {"plans", &HeteroStats::plans},
+    {"redispatched_spans", &HeteroStats::redispatched_spans},
+    {"redispatched_positions", &HeteroStats::redispatched_positions},
+    {"straggler_spans", &HeteroStats::straggler_spans},
+    {"faulted_spans", &HeteroStats::faulted_spans},
+};
+
 /// Simulated-FPGA counters: pipeline occupancy of the §V design.
 struct FpgaProfile {
   std::uint64_t pipeline_cycles = 0;  // total accelerator cycles
@@ -534,6 +717,14 @@ struct FpgaProfile {
   std::uint64_t hw_omegas = 0;        // scores produced in hardware
   std::uint64_t sw_omegas = 0;        // unroll-remainder scores on the host
   double modeled_seconds = 0.0;
+};
+
+inline constexpr ProfileField<FpgaProfile> kFpgaFields[] = {
+    {"pipeline_cycles", &FpgaProfile::pipeline_cycles},
+    {"stall_cycles", &FpgaProfile::stall_cycles},
+    {"hw_omegas", &FpgaProfile::hw_omegas},
+    {"sw_omegas", &FpgaProfile::sw_omegas},
+    {"modeled_seconds", &FpgaProfile::modeled_seconds},
 };
 
 struct ScanProfile {
@@ -607,6 +798,75 @@ struct ScanProfile {
     return wall > 0.0 ? static_cast<double>(r2_fetched) / wall : 0.0;
   }
 };
+
+/// ScanProfile's own fields, grouped by the metrics block they appear in:
+/// the document root, "stages" (after StageTimes) and "counters".
+inline constexpr ProfileField<ScanProfile> kProfileRootFields[] = {
+    {"backend", &ScanProfile::omega_backend, FieldMerge::Plan},
+    {"ld_backend", &ScanProfile::ld_backend, FieldMerge::Plan},
+    {"total_seconds", &ScanProfile::total_seconds},
+};
+inline constexpr ProfileField<ScanProfile> kProfileStageFields[] = {
+    {"ld_seconds", &ScanProfile::ld_seconds},
+    {"omega_seconds", &ScanProfile::omega_seconds},
+};
+inline constexpr ProfileField<ScanProfile> kProfileCounterFields[] = {
+    {"positions_scanned", &ScanProfile::positions_scanned},
+    {"omega_evaluations", &ScanProfile::omega_evaluations},
+    {"r2_fetched", &ScanProfile::r2_fetched},
+    {"omega_throughput_per_s", &ScanProfile::omega_throughput,
+     FieldMerge::Plan},
+    {"ld_throughput_per_s", &ScanProfile::ld_throughput, FieldMerge::Plan},
+};
+
+/// Every field table of a profile, in metrics-document order (telemetry, a
+/// registry snapshot, is not table-declared). Calls
+///   visit(object, block_of, fields)
+/// for the fields of one struct, written into JSON object `object` ("" is
+/// the document root; an object may be visited more than once), and
+///   visit(object, array, elements_of, fields)
+/// for a vector member written as array `array` inside `object`.
+/// block_of/elements_of map a const or mutable ScanProfile to the struct or
+/// vector, so one list serves the metrics writer, the checkpoint reader and
+/// the tests.
+template <class Visit>
+void for_each_profile_block(Visit&& visit) {
+  const auto self = [](auto& p) -> auto& { return p; };
+  visit("", self, kProfileRootFields);
+  visit("stages", [](auto& p) -> auto& { return p.stages; }, kStageFields);
+  visit("stages", self, kProfileStageFields);
+  visit("counters", self, kProfileCounterFields);
+  visit("relocation", [](auto& p) -> auto& { return p.relocation; },
+        kRelocationFields);
+  visit("gpu", [](auto& p) -> auto& { return p.gpu; }, kGpuFields);
+  visit("fpga", [](auto& p) -> auto& { return p.fpga; }, kFpgaFields);
+  visit("faults", [](auto& p) -> auto& { return p.faults; }, kFaultFields);
+  visit("kernel", [](auto& p) -> auto& { return p.kernel; }, kKernelFields);
+  visit("stream", [](auto& p) -> auto& { return p.stream; }, kStreamFields);
+  visit("sched", [](auto& p) -> auto& { return p.sched; }, kSchedFields);
+  visit("sched", "workers_detail",
+        [](auto& p) -> auto& { return p.sched.workers_detail; },
+        kSchedWorkerFields);
+  visit("runtime", [](auto& p) -> auto& { return p.runtime; }, kRuntimeFields);
+  visit("ld", [](auto& p) -> auto& { return p.ld; }, kLdFields);
+  visit("hetero", [](auto& p) -> auto& { return p.hetero; }, kHeteroFields);
+  visit("hetero", "partitions",
+        [](auto& p) -> auto& { return p.hetero.partitions; },
+        kHeteroPartitionFields);
+  visit("perf", [](auto& p) -> auto& { return p.perf; }, kPerfFields);
+  visit("perf", "stages", [](auto& p) -> auto& { return p.perf.stages; },
+        kPerfStageFields);
+}
+
+/// Folds `from` into `into` by every table's merge rule: the executor folds
+/// each worker's profile into the scan's, and a resumed stream folds the
+/// checkpoint's totals into its fresh profile. Worker profiles carry zeros
+/// in the stream-IO, wall-clock and per-worker detail fields, so the one sum
+/// serves both. sched workers_detail adds per worker index (its spans/steals
+/// totals are recomputed), hetero goes through merge_hetero_stats, and the
+/// omega backend name keeps the first one seen. Telemetry is not merged: the
+/// drivers fold a resumed snapshot in at scan end (finish_profile).
+void merge_profile(ScanProfile& into, const ScanProfile& from);
 
 struct ScanResult {
   std::vector<PositionScore> scores;

@@ -86,51 +86,31 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
                        const StreamScanOptions& stream_options,
                        const std::function<std::unique_ptr<OmegaBackend>()>&
                            backend_factory) {
-  options.config.validate();
-  options.recovery.validate();
   stream_options.validate();
-  const CpuKernelKind kernel = resolve_cpu_kernel(options.cpu_kernel);
-  // Same resolved-once thread convention and worker layout as scan(); the
-  // layout runs within each resident chunk, so the memory bound is
-  // unaffected.
-  const std::size_t threads = resolve_scan_threads(options.threads);
   const util::trace::Span scan_span("stream.scan");
   const util::Timer total;
-  const util::telemetry::RegistrySnapshot telemetry_begin =
-      util::telemetry::snapshot();
+  const detail::ScanSetup setup(options);
+  const detail::CancelState* cancel = setup.cancel();
   util::telemetry::Histogram& fetch_hist =
       util::telemetry::histogram("stream.chunk_fetch_seconds");
   util::telemetry::Histogram& chunk_scan_hist =
       util::telemetry::histogram("stream.chunk_scan_seconds");
   util::telemetry::Histogram& stall_hist =
       util::telemetry::histogram("stream.io_stall_seconds");
-
-  // Cooperative cancellation: the caller's token, or an internal one when
-  // only a deadline was set. Null `cancel` means no polling overhead at all.
-  util::CancelToken internal_token;
-  detail::CancelState cancel_state;
-  detail::init_cancel_state(cancel_state, options, internal_token);
-  const detail::CancelState* cancel =
-      cancel_state.enabled() ? &cancel_state : nullptr;
   // One executor for the entire stream: per-worker backends keep their
   // degradation state and fault-injection PRNG sequences across chunks (as
-  // the in-memory scan's do), and per-worker matrices carry over seams.
-  detail::ScanExecutor executor(options, kernel, threads, backend_factory);
+  // the in-memory scan's do), and per-worker matrices carry over seams. Its
+  // worker layout runs within each resident chunk, so the memory bound is
+  // unaffected.
+  detail::ScanExecutor executor(options, setup.kernel, setup.threads,
+                                backend_factory);
 
   const io::StreamIndex& index = reader.index();
   StreamPlan plan = plan_stream_chunks(index.positions_bp, options.config,
                                        stream_options.chunk_sites);
 
-  ScanResult result;
-  result.scores.resize(plan.grid.size());
-  for (std::size_t g = 0; g < plan.grid.size(); ++g) {
-    result.scores[g].position_bp = plan.grid[g].position_bp;
-  }
+  ScanResult result = setup.seed_result(plan.grid);
   ScanProfile& profile = result.profile;
-  profile.kernel.requested = cpu_kernel_name(options.cpu_kernel);
-  profile.kernel.selected = cpu_kernel_name(kernel);
-  profile.kernel.avx2_supported = cpu_kernel_avx2_available();
-  profile.sched.requested_threads = options.threads;
   profile.sched.workers = executor.workers();
 
   StreamStats& stream = profile.stream;
@@ -148,14 +128,13 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
     stream.peak_resident_sites = std::max(stream.peak_resident_sites, resident);
   }
 
-  std::uint64_t valid_positions = 0;
-  for (const GridPosition& position : plan.grid) {
-    if (position.valid) ++valid_positions;
-  }
+  const std::uint64_t valid_positions =
+      detail::count_valid_positions(plan.grid);
 
   if (plan.chunks.empty()) {
-    detail::finish_profile(profile, cancel_state, options, plan.grid,
-                           result.scores, total.seconds(), telemetry_begin);
+    detail::finish_profile(profile, setup.cancel_state, options, plan.grid,
+                           result.scores, total.seconds(),
+                           setup.telemetry_begin);
     if (options.progress != nullptr) {
       options.progress->begin(valid_positions, plan.chunks.size());
       options.progress->finish();
@@ -208,7 +187,7 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
     for (std::size_t g = 0; g < ckpt.scores.size(); ++g) {
       result.scores[g] = ckpt.scores[g];
     }
-    restore_profile_totals(profile, ckpt.totals);
+    merge_profile(profile, ckpt.totals);
     resumed_telemetry = ckpt.totals.telemetry;
     profile.runtime.resume_validations = 1;
     profile.runtime.chunks_resumed = k0;
@@ -271,9 +250,9 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
   auto snapshot_totals = [&]() -> ScanProfile {
     ScanProfile totals = profile;
     executor.finalize(totals);
-    detail::finish_profile(totals, cancel_state, options, plan.grid,
+    detail::finish_profile(totals, setup.cancel_state, options, plan.grid,
                            result.scores, resumed_seconds + total.seconds(),
-                           telemetry_begin, resumed_telemetry);
+                           setup.telemetry_begin, resumed_telemetry);
     return totals;
   };
   std::size_t committed = k0;
@@ -427,9 +406,9 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
   executor.finalize(profile);
   util::telemetry::gauge("stream.io_overlap_ratio")
       .set(stream.io_overlap_ratio());
-  detail::finish_profile(profile, cancel_state, options, plan.grid,
+  detail::finish_profile(profile, setup.cancel_state, options, plan.grid,
                          result.scores, resumed_seconds + total.seconds(),
-                         telemetry_begin, resumed_telemetry);
+                         setup.telemetry_begin, resumed_telemetry);
   if (options.progress != nullptr) options.progress->finish();
   return result;
 }
