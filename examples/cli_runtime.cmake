@@ -117,7 +117,7 @@ endif()
 # --- 6. a checkpoint of another schema_version is a usage error ----------
 
 file(READ "${WORK_DIR}/run.ckpt" ckpt_text)
-string(REGEX MATCH "\"schema_version\": ([0-9]+)" version_field "${ckpt_text}")
+string(REGEX MATCH "\"schema_version\": ?([0-9]+)" version_field "${ckpt_text}")
 set(current_version "${CMAKE_MATCH_1}")
 math(EXPR old_version "${current_version} - 1")
 string(REPLACE "${version_field}" "\"schema_version\": ${old_version}"

@@ -180,7 +180,7 @@ ScanCheckpoint checkpoint_from_json(const metrics::JsonValue& doc) {
 
 std::uint64_t write_checkpoint(const std::string& path,
                                const ScanCheckpoint& ckpt) {
-  const std::string text = checkpoint_to_json(ckpt).dump() + "\n";
+  const std::string text = checkpoint_to_json(ckpt).dump(0) + "\n";
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);

@@ -3,9 +3,9 @@
 // after runtime CPUID detection (util/cpu_features.h), so the rest of the
 // binary stays runnable on baseline x86-64 hosts.
 //
-// Argmax strategy: each of the four fp64 (eight fp32) lanes tracks its own
-// running maximum and the (a, b) indices of its *first* strictly-greater
-// occurrence, exactly like the scalar reference does over its subsequence.
+// Argmax strategy: each of the four fp64 lanes tracks its own running
+// maximum and the (a, b) indices of its *first* strictly-greater occurrence,
+// exactly like the scalar reference does over its subsequence.
 // Because lanes advance in b-major / a-ascending order, each lane's record
 // is the lexicographically smallest occurrence of its lane maximum, and the
 // final cross-lane reduce — greatest value, ties to the smallest (b, a) —
@@ -24,7 +24,7 @@
 namespace omega::core::detail {
 namespace {
 
-/// Lex-(b, a) candidate reduce shared by the final combines. A value of 0
+/// Lex-(b, a) candidate reduce of the final cross-lane combine. A value of 0
 /// never displaces anything (the reference only records strictly positive
 /// improvements over its zero init).
 struct BestCandidate {
@@ -144,103 +144,6 @@ OmegaResult omega_search_avx2_f64(const DpMatrix& m,
   if (best.value > 0.0) {
     result.best_a = best.a;
     result.best_b = best.b;
-  }
-  return result;
-}
-
-OmegaResult omega_search_avx2_f32(const PositionBuffers& buffers,
-                                  const GridPosition& position,
-                                  const std::vector<float>& r_f) {
-  OmegaResult result;
-  const std::size_t nl = buffers.num_left;
-  const std::size_t nr = buffers.num_right;
-  const std::size_t n8 = nr & ~static_cast<std::size_t>(7);
-  const float eps = static_cast<float>(OmegaConfig::denominator_offset);
-
-  const __m256 veps = _mm256_set1_ps(eps);
-  const __m256 vzero = _mm256_setzero_ps();
-  const __m256 viota =
-      _mm256_set_ps(7.0f, 6.0f, 5.0f, 4.0f, 3.0f, 2.0f, 1.0f, 0.0f);
-  __m256 vbest = vzero;
-  __m256 vbest_ai = vzero;
-  __m256 vbest_bi = vzero;
-
-  float tail_best = 0.0f;
-  std::size_t tail_ai = 0, tail_bi = 0;
-
-  for (std::size_t ai = 0; ai < nl; ++ai) {
-    const float lsa = buffers.ls[ai];
-    const float ka = buffers.k[ai];
-    const float lf = static_cast<float>(buffers.l_counts[ai]);
-    const float* trow = buffers.total.data() + ai * nr;
-
-    const __m256 vls = _mm256_set1_ps(lsa);
-    const __m256 vka = _mm256_set1_ps(ka);
-    const __m256 vlf = _mm256_set1_ps(lf);
-    const __m256 vai = _mm256_set1_ps(static_cast<float>(ai));
-
-    for (std::size_t bi = 0; bi < n8; bi += 8) {
-      const __m256 vrs = _mm256_loadu_ps(buffers.rs.data() + bi);
-      const __m256 vmb = _mm256_loadu_ps(buffers.m_binom.data() + bi);
-      const __m256 vrf = _mm256_loadu_ps(r_f.data() + bi);
-      const __m256 vtot = _mm256_loadu_ps(trow + bi);
-
-      // Exact op-for-op transcription of omega_from_sums_f — three divides,
-      // no FMA contraction — so every lane matches the scalar GPU/FPGA
-      // reference arithmetic bit-for-bit.
-      const __m256 vwithin = _mm256_add_ps(vls, vrs);
-      const __m256 vpairs = _mm256_add_ps(vka, vmb);
-      const __m256 vcross = _mm256_sub_ps(vtot, vwithin);
-      const __m256 vlr = _mm256_mul_ps(vlf, vrf);
-      const __m256 vnum = _mm256_div_ps(vwithin, vpairs);
-      const __m256 vden = _mm256_add_ps(_mm256_div_ps(vcross, vlr), veps);
-      __m256 vomega = _mm256_div_ps(vnum, vden);
-      const __m256 vvalid = _mm256_cmp_ps(vpairs, vzero, _CMP_GT_OQ);
-      vomega = _mm256_and_ps(vomega, vvalid);
-
-      const __m256 vgt = _mm256_cmp_ps(vomega, vbest, _CMP_GT_OQ);
-      if (_mm256_movemask_ps(vgt) != 0) {
-        const __m256 vbidx =
-            _mm256_add_ps(_mm256_set1_ps(static_cast<float>(bi)), viota);
-        vbest = _mm256_blendv_ps(vbest, vomega, vgt);
-        vbest_ai = _mm256_blendv_ps(vbest_ai, vai, vgt);
-        vbest_bi = _mm256_blendv_ps(vbest_bi, vbidx, vgt);
-      }
-    }
-
-    for (std::size_t bi = n8; bi < nr; ++bi) {
-      const float within = lsa + buffers.rs[bi];
-      const float w =
-          omega_from_sums_f(lsa, buffers.rs[bi], trow[bi] - within,
-                            buffers.l_counts[ai], buffers.r_counts[bi]);
-      if (w > tail_best) {
-        tail_best = w;
-        tail_ai = ai;
-        tail_bi = bi;
-      }
-    }
-  }
-
-  result.evaluated = static_cast<std::uint64_t>(nl) * nr;
-
-  float vals[8], aivals[8], bivals[8];
-  _mm256_storeu_ps(vals, vbest);
-  _mm256_storeu_ps(aivals, vbest_ai);
-  _mm256_storeu_ps(bivals, vbest_bi);
-  // Scan order here is ai-major, so the tie-break key is (a, b) — mirror it
-  // by feeding BestCandidate swapped (its lex key is (b, a)).
-  BestCandidate best;
-  for (int lane = 0; lane < 8; ++lane) {
-    best.consider(static_cast<double>(vals[lane]),
-                  static_cast<std::size_t>(bivals[lane]),
-                  static_cast<std::size_t>(aivals[lane]));
-  }
-  best.consider(static_cast<double>(tail_best), tail_bi, tail_ai);
-
-  result.max_omega = best.value;
-  if (best.value > 0.0) {
-    result.best_a = position.lo + best.b;   // .b holds ai (swapped key)
-    result.best_b = position.b_min + best.a;  // .a holds bi
   }
   return result;
 }

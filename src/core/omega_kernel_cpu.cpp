@@ -212,83 +212,4 @@ OmegaResult omega_kernel_search_parallel(
   return result;
 }
 
-OmegaResult omega_kernel_search_f32(const PositionBuffers& buffers,
-                                    const GridPosition& position,
-                                    CpuKernelKind kind) {
-  OmegaResult result;
-  if (!position.valid || buffers.num_left == 0 || buffers.num_right == 0) {
-    return result;
-  }
-  const std::size_t nl = buffers.num_left;
-  const std::size_t nr = buffers.num_right;
-  result.evaluated = static_cast<std::uint64_t>(nl) * nr;
-
-  float best = 0.0f;
-  std::size_t best_ai = 0, best_bi = 0;
-  bool found = false;
-
-  if (kind == CpuKernelKind::Avx2) {
-#if defined(OMEGA_HAVE_AVX2_TU)
-    std::vector<float> r_f(nr);
-    for (std::size_t bi = 0; bi < nr; ++bi) {
-      r_f[bi] = static_cast<float>(buffers.r_counts[bi]);
-    }
-    OmegaResult wide = detail::omega_search_avx2_f32(buffers, position, r_f);
-    wide.evaluated = result.evaluated;
-    return wide;
-#else
-    throw std::logic_error(
-        "omega_kernel_search_f32: avx2 kernel not compiled in");
-#endif
-  }
-  if (kind == CpuKernelKind::Auto) {
-    throw std::logic_error(
-        "omega_kernel_search_f32: kind must be resolved before dispatch");
-  }
-
-  // Scalar and Portable share the exact omega_from_sums_f arithmetic; the
-  // portable body spells the ops out over the precomputed C(l,2)/C(r,2)
-  // tables (bit-identical — the binomials are exact in float after a single
-  // rounding either way) so the compiler can lift the ai-invariant terms.
-  const float eps = static_cast<float>(OmegaConfig::denominator_offset);
-  for (std::size_t ai = 0; ai < nl; ++ai) {
-    const float lsa = buffers.ls[ai];
-    const float ka = buffers.k[ai];
-    const float lf = static_cast<float>(buffers.l_counts[ai]);
-    const float* trow = buffers.total.data() + ai * nr;
-    for (std::size_t bi = 0; bi < nr; ++bi) {
-      float w;
-      if (kind == CpuKernelKind::Scalar) {
-        const float within = lsa + buffers.rs[bi];
-        w = omega_from_sums_f(lsa, buffers.rs[bi], trow[bi] - within,
-                              buffers.l_counts[ai], buffers.r_counts[bi]);
-      } else {
-        const float within = lsa + buffers.rs[bi];
-        const float pairs = ka + buffers.m_binom[bi];
-        if (pairs <= 0.0f) {
-          w = 0.0f;
-        } else {
-          const float cross = trow[bi] - within;
-          const float lr = lf * static_cast<float>(buffers.r_counts[bi]);
-          const float numerator = within / pairs;
-          const float denominator = cross / lr + eps;
-          w = numerator / denominator;
-        }
-      }
-      if (w > best) {
-        best = w;
-        best_ai = ai;
-        best_bi = bi;
-        found = true;
-      }
-    }
-  }
-  result.max_omega = static_cast<double>(best);
-  if (found) {
-    result.best_a = position.lo + best_ai;
-    result.best_b = position.b_min + best_bi;
-  }
-  return result;
-}
-
 }  // namespace omega::core

@@ -101,16 +101,6 @@ OmegaResult omega_kernel_search_parallel(
     par::ThreadPool& pool, const DpMatrix& m, const GridPosition& position,
     CpuKernelKind kind, std::vector<OmegaKernelScratch>& lane_scratch);
 
-/// Single-precision kernel over the packed accelerator buffers — the exact
-/// arithmetic (and op order) of omega_from_sums_f / the simulated GPU and
-/// FPGA datapaths, vectorized. Scan order is ai-major/bi-ascending (the TS
-/// buffer's layout); all kernel kinds produce bit-identical results because
-/// every lane op has exact scalar parity (no FMA contraction). Returns
-/// global (best_a, best_b) indices like the fp64 search.
-OmegaResult omega_kernel_search_f32(const PositionBuffers& buffers,
-                                    const GridPosition& position,
-                                    CpuKernelKind kind);
-
 namespace detail {
 // Entry points of the separately compiled AVX2+FMA translation unit
 // (omega_kernel_avx2.cpp, built with per-file -mavx2 -mfma). Defined only
@@ -120,9 +110,6 @@ OmegaResult omega_search_avx2_f64(const DpMatrix& m,
                                   const GridPosition& position,
                                   std::size_t b_begin, std::size_t b_end,
                                   const OmegaKernelScratch& scratch);
-OmegaResult omega_search_avx2_f32(const PositionBuffers& buffers,
-                                  const GridPosition& position,
-                                  const std::vector<float>& r_f);
 }  // namespace detail
 
 }  // namespace omega::core

@@ -1,7 +1,6 @@
 #include "core/scanner.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -14,6 +13,7 @@
 #include "util/flight_recorder.h"
 #include "util/perf_counters.h"
 #include "util/progress.h"
+#include "util/stage.h"
 #include "util/telemetry.h"
 #include "util/timer.h"
 #include "util/trace.h"
@@ -76,50 +76,20 @@ namespace detail {
 bool advance_matrix(DpMatrix& m, bool& m_live, bool reuse,
                     const GridPosition& position, const ld::LdEngine& engine,
                     StageTimes& stages, par::ThreadPool* pool) {
-  // Per-stage latency distributions; resolved once, then lock-free records.
-  // Registered metrics are never deallocated, so these references stay valid
-  // across telemetry::reset().
-  static util::telemetry::Histogram& reset_hist =
-      util::telemetry::histogram("scan.reset_seconds");
-  static util::telemetry::Histogram& relocate_hist =
-      util::telemetry::histogram("scan.relocate_seconds");
-  static util::telemetry::Histogram& extend_hist =
-      util::telemetry::histogram("scan.extend_seconds");
-  // Hardware-counter attribution mirrors the histogram stages one-to-one:
-  // each StageScope's `scopes` counter must equal the matching histogram's
-  // count (the schema v11 reconciliation invariant tests assert).
-  static util::perf::StageCounters& reset_perf =
-      util::perf::stage("scan.reset");
-  static util::perf::StageCounters& relocate_perf =
-      util::perf::stage("scan.relocate");
-  static util::perf::StageCounters& extend_perf =
-      util::perf::stage("scan.extend");
+  static const util::Stage& reset_stage = util::stage("scan.reset");
+  static const util::Stage& relocate_stage = util::stage("scan.relocate");
+  static const util::Stage& extend_stage = util::stage("scan.extend");
   const bool relocate = reuse && m_live && position.lo >= m.base();
   if (!relocate) {
-    const util::trace::Span span("scan.ld.reset");
-    const util::perf::StageScope perf_scope(reset_perf);
-    const util::Timer timer;
+    const util::StageScope scope(reset_stage, &stages.ld_reset_seconds);
     m.reset(position.lo);
-    const double elapsed = timer.seconds();
-    stages.ld_reset_seconds += elapsed;
-    reset_hist.record(elapsed);
   } else {
-    const util::trace::Span span("scan.ld.relocate");
-    const util::perf::StageScope perf_scope(relocate_perf);
-    const util::Timer timer;
+    const util::StageScope scope(relocate_stage, &stages.ld_relocate_seconds);
     m.relocate(position.lo);
-    const double elapsed = timer.seconds();
-    stages.ld_relocate_seconds += elapsed;
-    relocate_hist.record(elapsed);
   }
   {
-    const util::trace::Span span("scan.ld.extend");
-    const util::perf::StageScope perf_scope(extend_perf);
-    const util::Timer timer;
+    const util::StageScope scope(extend_stage, &stages.ld_extend_seconds);
     m.extend(position.hi + 1, engine, pool);
-    const double elapsed = timer.seconds();
-    stages.ld_extend_seconds += elapsed;
-    extend_hist.record(elapsed);
   }
   m_live = true;
   return relocate;
@@ -223,12 +193,8 @@ void finalize_ld_stats(ScanProfile& profile, const ScannerOptions& options) {
   // and across runs on checkpoint resume, with no extra plumbing.
   ld.panel_packs = profile.telemetry.counter_value("ld.panel_cache.misses");
   ld.panel_hits = profile.telemetry.counter_value("ld.panel_cache.hits");
-  const util::telemetry::HistogramSnapshot* pack =
-      profile.telemetry.find_histogram("ld.pack_seconds");
-  ld.pack_seconds = pack != nullptr ? pack->sum : 0.0;
-  const util::telemetry::HistogramSnapshot* kernel =
-      profile.telemetry.find_histogram("ld.kernel_seconds");
-  ld.kernel_seconds = kernel != nullptr ? kernel->sum : 0.0;
+  ld.pack_seconds = util::stage("ld.pack").seconds_in(profile.telemetry);
+  ld.kernel_seconds = util::stage("ld.kernel").seconds_in(profile.telemetry);
 }
 
 void finalize_perf_stats(ScanProfile& profile) {
@@ -237,36 +203,15 @@ void finalize_perf_stats(ScanProfile& profile) {
   perf.source = perf.enabled ? util::perf::source() : "";
   perf.stages.clear();
   if (!perf.enabled) return;
-  // Re-group the scan-attributed delta's flat perf.<stage>.<field> counters
-  // into per-stage entries. A std::map keys them stage-name-sorted, matching
-  // the documented PerfStats order without a second sort.
-  std::map<std::string, PerfStageStats> stages;
-  for (const auto& [name, value] : profile.telemetry.counters) {
-    const std::string_view view(name);
-    if (view.substr(0, 5) != "perf.") continue;
-    const std::size_t last_dot = view.rfind('.');
-    if (last_dot == std::string_view::npos || last_dot <= 5) continue;
-    const std::string stage_name(view.substr(5, last_dot - 5));
-    const std::string_view field = view.substr(last_dot + 1);
-    PerfStageStats& stats = stages[stage_name];
-    stats.stage = stage_name;
-    if (field == "scopes") {
-      stats.scopes = value;
-    } else if (field == "cycles") {
-      stats.cycles = value;
-    } else if (field == "instructions") {
-      stats.instructions = value;
-    } else if (field == "cache_misses") {
-      stats.cache_misses = value;
-    } else if (field == "branch_misses") {
-      stats.branch_misses = value;
-    } else if (field == "task_clock_ns") {
-      stats.task_clock_seconds = static_cast<double>(value) * 1e-9;
-    }
-  }
-  for (auto& [stage_name, stats] : stages) {
-    if (stats.scopes == 0) continue;  // stage never entered during this scan
-    perf.stages.push_back(std::move(stats));
+  // util::stages() is name-sorted, the documented PerfStats order.
+  for (const util::Stage* stage : util::stages()) {
+    const util::perf::StageTotals totals =
+        util::perf::read_stage(profile.telemetry, stage->name);
+    if (totals.scopes == 0) continue;  // stage never entered during this scan
+    perf.stages.push_back(
+        {stage->name, totals.scopes, totals.cycles, totals.instructions,
+         totals.cache_misses, totals.branch_misses,
+         static_cast<double>(totals.task_clock_ns) * 1e-9});
   }
 }
 
@@ -297,13 +242,10 @@ bool score_position(OmegaBackend& backend, const DpMatrix& m,
       profile.faults.errors_caught + profile.faults.invalid_results;
   RecoveryOutcome outcome;
   {
-    const util::trace::Span span("scan.omega.search");
-    static util::perf::StageCounters& search_perf =
-        util::perf::stage("scan.omega_search");
-    const util::perf::StageScope perf_scope(search_perf);
-    const util::Timer timer;
+    static const util::Stage& search_stage = util::stage("scan.omega_search");
+    const util::StageScope scope(search_stage,
+                                 &profile.stages.omega_search_seconds);
     outcome = recover_max_omega(backend, m, position, recovery, profile.faults);
-    profile.stages.omega_search_seconds += timer.seconds();
   }
   const bool settled = outcome.ok || quarantine;
   // recover_max_omega charged a quarantine; a re-dispatched position is not

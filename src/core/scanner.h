@@ -568,14 +568,13 @@ inline constexpr ProfileField<LdStats> kLdFields[] = {
     {"kernel_seconds", &LdStats::kernel_seconds, FieldMerge::Plan},
 };
 
-/// Per-stage hardware-counter totals (profile/metrics schema v11). Filled by
-/// the drivers from the scan's telemetry delta over the
-/// perf.<stage>.{scopes,cycles,...} counters that util/perf_counters.h
-/// StageScopes record, so — exactly like the v9 "ld" block — streamed scans
-/// accumulate across chunks and resumes accumulate across runs. The stage
-/// set mirrors the instrumented latency histograms: scan.reset / relocate /
-/// extend / omega_search, ld.pack / ld.kernel, stream.chunk_fetch — each
-/// stage's `scopes` equals the matching histogram's sample count.
+/// Per-stage hardware-counter totals (profile/metrics schema v11). Filled at
+/// scan finish for each registered util::stage (util/stage.h) from the
+/// scan's telemetry delta over its perf.<stage>.{scopes,cycles,...}
+/// counters, so — exactly like the v9 "ld" block — streamed scans
+/// accumulate across chunks and resumes accumulate across runs. One
+/// util::StageScope feeds a stage's perf group and its <stage>_seconds
+/// histogram, so each entry's `scopes` equals that histogram's count.
 struct PerfStageStats {
   std::string stage;
   std::uint64_t scopes = 0;        // StageScopes entered (== histogram count)

@@ -11,8 +11,8 @@
 #include "core/scan_executor.h"
 #include "io/fingerprint.h"
 #include "par/thread_pool.h"
-#include "util/perf_counters.h"
 #include "util/progress.h"
+#include "util/stage.h"
 #include "util/telemetry.h"
 #include "util/timer.h"
 #include "util/trace.h"
@@ -91,12 +91,9 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
   const util::Timer total;
   const detail::ScanSetup setup(options);
   const detail::CancelState* cancel = setup.cancel();
-  util::telemetry::Histogram& fetch_hist =
-      util::telemetry::histogram("stream.chunk_fetch_seconds");
-  util::telemetry::Histogram& chunk_scan_hist =
-      util::telemetry::histogram("stream.chunk_scan_seconds");
-  util::telemetry::Histogram& stall_hist =
-      util::telemetry::histogram("stream.io_stall_seconds");
+  static const util::Stage& fetch_stage = util::stage("stream.chunk_fetch");
+  static const util::Stage& stall_stage = util::stage("stream.io_stall");
+  static const util::Stage& chunk_stage = util::stage("stream.chunk_scan");
   // One executor for the entire stream: per-worker backends keep their
   // degradation state and fault-injection PRNG sequences across chunks (as
   // the in-memory scan's do), and per-worker matrices carry over seams. Its
@@ -226,18 +223,10 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
   double fetch_seconds = 0.0;
   std::future<void> inflight;
   auto submit_fetch = [&](std::size_t slot) {
-    inflight = io_pool.submit([&reader, &slots, &fetch_seconds, &fetch_hist,
-                               slot] {
-      // Counter scope on the IO pool thread: chunk parsing is the stream
-      // pipeline's memory-bound stage, so its miss rates are the interesting
-      // ones. One scope per fetch == one fetch_hist sample (v11 invariant).
-      static util::perf::StageCounters& fetch_perf =
-          util::perf::stage("stream.chunk_fetch");
-      const util::perf::StageScope perf_scope(fetch_perf);
-      const util::Timer timer;
+    fetch_seconds = 0.0;
+    inflight = io_pool.submit([&reader, &slots, &fetch_seconds, slot] {
+      const util::StageScope scope(fetch_stage, &fetch_seconds);
       slots[slot] = reader.next();
-      fetch_seconds = timer.seconds();
-      fetch_hist.record(fetch_seconds);
     });
   };
 
@@ -287,13 +276,9 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
       // Without double buffering only chunk 0 was prefetched; later chunks
       // are fetched here, serialized with compute (the whole wait is stall).
       if (!inflight.valid()) submit_fetch(cursor);
-      const util::trace::Span span("stream.io.wait");
-      const util::Timer stall;
+      const util::StageScope scope(stall_stage, &stream.io_stall_seconds);
       inflight.get();
       stream.io_seconds += fetch_seconds;
-      const double stalled = stall.seconds();
-      stream.io_stall_seconds += stalled;
-      stall_hist.record(stalled);
     }
     std::optional<io::DatasetChunk> chunk = std::move(slots[cursor]);
     slots[cursor].reset();
@@ -320,8 +305,7 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
     for (std::size_t attempt = 0;
          attempt <= stream_options.chunk_retries && !scanned; ++attempt) {
       try {
-        const util::trace::Span span("stream.chunk");
-        const util::Timer compute;
+        const util::StageScope scope(chunk_stage, &stream.compute_seconds);
         const ld::SnpMatrix snps(chunk->dataset);
         const auto inner = options.ld_factory
                                ? options.ld_factory(snps)
@@ -332,9 +316,6 @@ ScanResult stream_scan(io::ChunkReader& reader, const ScannerOptions& options,
         // chunk-retry path below re-runs only what is still unscored.
         executor.run(plan.grid, step.grid_begin, step.grid_end, engine,
                      result.scores, profile.sched, options.progress, cancel);
-        const double chunk_seconds = compute.seconds();
-        stream.compute_seconds += chunk_seconds;
-        chunk_scan_hist.record(chunk_seconds);
         scanned = true;
       } catch (const util::CancelledError&) {
         // A simulator backend observed the cancel mid-launch. NOT a chunk

@@ -5,8 +5,8 @@
 
 #include "core/omega_search.h"
 #include "core/resilience.h"
+#include "util/stage.h"
 #include "util/telemetry.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace omega::hw::fpga {
@@ -54,10 +54,9 @@ core::OmegaResult FpgaOmegaBackend::max_omega(
   // the GPU backend had with its early return inside the timed block).
   core::PositionBuffers buffers;
   {
-    const util::trace::Span dispatch_span("fpga.dispatch");
-    const util::Timer dispatch_timer;
+    static const util::Stage& dispatch_stage = util::stage("fpga.dispatch");
+    const util::StageScope scope(dispatch_stage, &accounting_.dispatch_seconds);
     buffers = core::pack_position(m, position);
-    accounting_.dispatch_seconds += dispatch_timer.seconds();
   }
   const std::uint64_t combos = buffers.combinations();
   if (combos == 0) return result;

@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "core/resilience.h"
+#include "util/stage.h"
 #include "util/telemetry.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace omega::hw::gpu {
@@ -88,8 +88,8 @@ core::OmegaResult GpuOmegaBackend::max_omega(
     // Host-side packing + Eq. (4) kernel selection: the "dispatch" stage.
     // Pack time is charged even for zero-combination positions — the host
     // pays for packing before it can know the position is empty.
-    const util::trace::Span dispatch_span("gpu.dispatch");
-    const util::Timer dispatch_timer;
+    static const util::Stage& dispatch_stage = util::stage("gpu.dispatch");
+    const util::StageScope scope(dispatch_stage, &accounting_.dispatch_seconds);
     buffers = core::pack_position(m, position);
     combos = buffers.combinations();
     if (combos != 0) {
@@ -109,7 +109,6 @@ core::OmegaResult GpuOmegaBackend::max_omega(
           break;
       }
     }
-    accounting_.dispatch_seconds += dispatch_timer.seconds();
   }
   if (combos == 0) return result;
 

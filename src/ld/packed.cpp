@@ -7,9 +7,8 @@
 #include <vector>
 
 #include "util/cpu_features.h"
-#include "util/perf_counters.h"
+#include "util/stage.h"
 #include "util/telemetry.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace omega::ld {
@@ -219,15 +218,8 @@ std::size_t PackedLd::ensure_packed(std::size_t begin, std::size_t end) const {
 
 void PackedLd::r2_block(std::size_t i0, std::size_t i1, std::size_t j0,
                         std::size_t j1, float* out, std::size_t ld) const {
-  static util::telemetry::Histogram& pack_hist =
-      util::telemetry::histogram("ld.pack_seconds");
-  static util::telemetry::Histogram& kernel_hist =
-      util::telemetry::histogram("ld.kernel_seconds");
-  // Hardware-counter scopes cover exactly the histograms' timed regions so
-  // perf.ld.pack/ld.kernel scope counts reconcile with the histogram counts.
-  static util::perf::StageCounters& pack_perf = util::perf::stage("ld.pack");
-  static util::perf::StageCounters& kernel_perf =
-      util::perf::stage("ld.kernel");
+  static const util::Stage& pack_stage = util::stage("ld.pack");
+  static const util::Stage& kernel_stage = util::stage("ld.kernel");
   const util::trace::Span span("ld.packed.r2_block");
   note_served(static_cast<std::uint64_t>(i1 - i0) * (j1 - j0));
   const std::size_t m = i1 - i0;
@@ -235,15 +227,12 @@ void PackedLd::r2_block(std::size_t i0, std::size_t i1, std::size_t j0,
   if (m == 0 || n == 0) return;
 
   {
-    const util::perf::StageScope perf_scope(pack_perf);
-    const util::Timer pack_timer;
+    const util::StageScope scope(pack_stage);
     ensure_packed(i0, i1);
     ensure_packed(j0, j1);
-    pack_hist.record(pack_timer.seconds());
   }
 
-  const util::perf::StageScope kernel_perf_scope(kernel_perf);
-  const util::Timer kernel_timer;
+  const util::StageScope scope(kernel_stage);
   constexpr std::size_t MR = PackedBlocking::mr;
   constexpr std::size_t NR = PackedBlocking::nr;
   const std::size_t lanes = fused_ ? 4 : 1;
@@ -302,7 +291,6 @@ void PackedLd::r2_block(std::size_t i0, std::size_t i1, std::size_t j0,
   } else {
     r2_from_counts_hoisted(counts.data(), i0, m, j0, n, out, ld);
   }
-  kernel_hist.record(kernel_timer.seconds());
 }
 
 void PackedLd::r2_from_counts_hoisted(const std::uint32_t* counts,

@@ -182,6 +182,17 @@ StageCounters& register_stage(const char* name) {
 
 StageCounters& stage(const char* name) { return register_stage(name); }
 
+StageTotals read_stage(const telemetry::RegistrySnapshot& snapshot,
+                       std::string_view stage) {
+  const std::string prefix = "perf." + std::string(stage) + ".";
+  auto value = [&](const char* field) {
+    return snapshot.counter_value(prefix + field);
+  };
+  return {value("scopes"),        value("cycles"),
+          value("instructions"),  value("cache_misses"),
+          value("branch_misses"), value("task_clock_ns")};
+}
+
 void enable() {
   raise_source(1);  // at least fallback from now on
   g_enabled.store(true, std::memory_order_release);

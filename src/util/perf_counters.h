@@ -23,6 +23,11 @@
 // the armed path touches only atomics plus two counter reads.
 
 #include <cstdint>
+#include <string_view>
+
+namespace omega::util::telemetry {
+struct RegistrySnapshot;
+}  // namespace omega::util::telemetry
 
 namespace omega::util::perf {
 
@@ -43,6 +48,19 @@ struct StageCounters;
 /// Registers (or finds) the counter set for `stage`; the reference is valid
 /// for the process lifetime, like every telemetry metric.
 [[nodiscard]] StageCounters& stage(const char* name);
+
+/// One stage's perf.<stage>.* counter values inside a telemetry snapshot
+/// (typically a scan's delta); zero for counters the snapshot lacks.
+struct StageTotals {
+  std::uint64_t scopes = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t instructions = 0;
+  std::uint64_t cache_misses = 0;
+  std::uint64_t branch_misses = 0;
+  std::uint64_t task_clock_ns = 0;
+};
+[[nodiscard]] StageTotals read_stage(
+    const telemetry::RegistrySnapshot& snapshot, std::string_view stage);
 
 /// Arms process-wide collection. Threads open their counter groups lazily on
 /// first scoped use; enable() itself probes the calling thread so source()

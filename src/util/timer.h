@@ -1,6 +1,6 @@
 #pragma once
-// Monotonic wall-clock timer used by the scanner's profiling hooks and the
-// benchmark harness.
+// Monotonic wall-clock timer for whole-scan and benchmark timings; timed
+// pipeline stages use util/stage.h instead.
 
 #include <chrono>
 
@@ -17,43 +17,9 @@ class Timer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  [[nodiscard]] double millis() const noexcept { return seconds() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates wall time across multiple start/stop intervals. Used to split
-/// scan time into LD / omega / other buckets (Fig. 14 profiling).
-class StopWatch {
- public:
-  void start() noexcept { t_.reset(); running_ = true; }
-  void stop() noexcept {
-    if (running_) {
-      total_ += t_.seconds();
-      running_ = false;
-    }
-  }
-  [[nodiscard]] double total_seconds() const noexcept { return total_; }
-  void clear() noexcept { total_ = 0.0; running_ = false; }
-
- private:
-  Timer t_;
-  double total_ = 0.0;
-  bool running_ = false;
-};
-
-/// RAII guard adding an interval to a StopWatch.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(StopWatch& watch) noexcept : watch_(watch) { watch_.start(); }
-  ~ScopedTimer() { watch_.stop(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  StopWatch& watch_;
 };
 
 }  // namespace omega::util

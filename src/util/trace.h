@@ -160,6 +160,17 @@ inline void instant(const char* name) {
   record(name, start_s, 0.0);
 }
 
+/// Records the span [start, end] of a scope that began while tracing was
+/// enabled; disable() before its end drops it.
+inline void record_span(const char* name,
+                        std::chrono::steady_clock::time_point start,
+                        std::chrono::steady_clock::time_point end) {
+  if (!enabled()) return;
+  const auto epoch = detail::registry().epoch;
+  record(name, std::chrono::duration<double>(start - epoch).count(),
+         std::chrono::duration<double>(end - start).count());
+}
+
 /// RAII scoped span. With tracing disabled the constructor is a single
 /// relaxed load and the destructor a branch on a bool.
 class Span {
@@ -172,15 +183,7 @@ class Span {
     }
   }
   ~Span() {
-    if (!active_) return;
-    const auto now = std::chrono::steady_clock::now();
-    auto& r = detail::registry();
-    // Re-check: disable() between construction and destruction drops the span.
-    if (!enabled()) return;
-    const double start_s =
-        std::chrono::duration<double>(start_ - r.epoch).count();
-    const double duration_s = std::chrono::duration<double>(now - start_).count();
-    record(name_, start_s, duration_s);
+    if (active_) record_span(name_, start_, std::chrono::steady_clock::now());
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

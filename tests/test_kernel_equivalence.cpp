@@ -1,9 +1,8 @@
 // Kernel-equivalence property tests for the dispatched CPU omega kernels
 // (core/omega_kernel_cpu.h): the portable and AVX2 fp64 bodies must reproduce
 // the scalar reference argmax exactly and its scores within ulp-scaled
-// tolerance; the fp32 bodies must be bit-identical to the GPU/FPGA reference
-// arithmetic across all kernel kinds. AVX2 cases skip cleanly on hosts (or
-// builds) that cannot run the AVX2 translation unit.
+// tolerance. AVX2 cases skip cleanly on hosts (or builds) that cannot run the
+// AVX2 translation unit.
 
 #include <gtest/gtest.h>
 
@@ -232,62 +231,6 @@ TEST(KernelEquivalence, ZeroCrossSumRegion) {
                         fx.m, position, CpuKernelKind::Avx2, scratch),
                     "avx2-zero-cross");
   }
-}
-
-// The fp32 kernel runs the exact GPU/FPGA datapath arithmetic; every kernel
-// kind must agree bit-for-bit (no FMA-contractible patterns in the op
-// sequence) and match a literal omega_from_sums_f loop.
-TEST(KernelEquivalence, F32KernelsBitwiseIdentical) {
-  KernelFixture fx(kernel_dataset(13));
-  const auto grid = omega::core::build_grid(fx.dataset, kernel_config());
-  std::size_t checked = 0;
-  for (const auto& position : grid) {
-    if (!position.valid) continue;
-    fx.build(position);
-    const auto buffers = omega::core::pack_position(fx.m, position);
-
-    // Literal reference loop in the f32 scan order (ai-major, bi-ascending).
-    OmegaResult ref;
-    float best = 0.0f;
-    for (std::size_t ai = 0; ai < buffers.num_left; ++ai) {
-      for (std::size_t bi = 0; bi < buffers.num_right; ++bi) {
-        const float within = buffers.ls[ai] + buffers.rs[bi];
-        const float w = omega::core::omega_from_sums_f(
-            buffers.ls[ai], buffers.rs[bi],
-            buffers.total[ai * buffers.num_right + bi] - within,
-            buffers.l_counts[ai], buffers.r_counts[bi]);
-        ++ref.evaluated;
-        if (w > best) {
-          best = w;
-          ref.best_a = position.lo + ai;
-          ref.best_b = position.b_min + bi;
-        }
-      }
-    }
-    ref.max_omega = static_cast<double>(best);
-
-    const auto scalar = omega::core::omega_kernel_search_f32(
-        buffers, position, CpuKernelKind::Scalar);
-    const auto portable = omega::core::omega_kernel_search_f32(
-        buffers, position, CpuKernelKind::Portable);
-    EXPECT_EQ(scalar.evaluated, ref.evaluated);
-    EXPECT_EQ(scalar.max_omega, ref.max_omega);  // bitwise: same arithmetic
-    EXPECT_EQ(scalar.best_a, ref.best_a);
-    EXPECT_EQ(scalar.best_b, ref.best_b);
-    EXPECT_EQ(portable.max_omega, ref.max_omega);
-    EXPECT_EQ(portable.best_a, ref.best_a);
-    EXPECT_EQ(portable.best_b, ref.best_b);
-    if (omega::core::cpu_kernel_avx2_available()) {
-      const auto avx2 = omega::core::omega_kernel_search_f32(
-          buffers, position, CpuKernelKind::Avx2);
-      EXPECT_EQ(avx2.evaluated, ref.evaluated);
-      EXPECT_EQ(avx2.max_omega, ref.max_omega);
-      EXPECT_EQ(avx2.best_a, ref.best_a);
-      EXPECT_EQ(avx2.best_b, ref.best_b);
-    }
-    ++checked;
-  }
-  EXPECT_GT(checked, 0u);
 }
 
 TEST(KernelEquivalence, ParallelMatchesSequentialPerKind) {

@@ -142,8 +142,8 @@ TEST(Trace, ScanEmitsStageSpans) {
   for (const auto& event : omega::util::trace::snapshot()) {
     const std::string name = event.name;
     saw_scan |= name == "scan";
-    saw_extend |= name == "scan.ld.extend";
-    saw_search |= name == "scan.omega.search";
+    saw_extend |= name == "scan.extend";
+    saw_search |= name == "scan.omega_search";
     saw_ld |= name == "ld.packed.r2_block";  // the default LD engine
   }
   EXPECT_TRUE(saw_scan);

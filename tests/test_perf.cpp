@@ -2,7 +2,8 @@
 // flight recorder: the perf_event_open wrapper's graceful degradation when
 // the kernel refuses counters (stubbed syscall returning -EACCES), the
 // schema v11 "perf" block derivation and its scopes==histogram-count
-// reconciliation against the stage timers, the RateEstimator EWMA math and
+// reconciliation against the stage timers, the agreement of every stage's
+// trace, histogram, perf and profile sinks, the RateEstimator EWMA math and
 // its span-engine / hetero wiring, and the flight recorder's dump
 // round-trip under manual, fault-exhaustion, and in-process SIGTERM
 // triggers.
@@ -14,21 +15,28 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/hetero_scheduler.h"
 #include "core/metrics_json.h"
 #include "core/rate_estimator.h"
 #include "core/scanner.h"
+#include "core/stream_scanner.h"
 #include "hw/device_specs.h"
 #include "hw/gpu/gpu_backend.h"
+#include "hw/hetero_profile.h"
+#include "io/chunk_reader.h"
 #include "par/thread_pool.h"
 #include "sim/dataset_factory.h"
 #include "util/cancel.h"
 #include "util/fault.h"
 #include "util/flight_recorder.h"
 #include "util/perf_counters.h"
+#include "util/stage.h"
 #include "util/telemetry.h"
 #include "util/trace.h"
 
@@ -166,29 +174,26 @@ TEST_F(ForcedFallbackPerf, ScanStampsPerfBlockAndReconcilesWithStageTimers) {
   EXPECT_EQ(perf_stats.source, "fallback");
   ASSERT_FALSE(perf_stats.stages.empty());
 
-  // Every instrumented stage pairs a StageScope with the stage's existing
-  // seconds histogram inside the same block, so the scope count must equal
-  // the histogram count in the same scan-attributed telemetry delta.
-  const std::vector<std::pair<std::string, std::string>> reconciled = {
-      {"scan.reset", "scan.reset_seconds"},
-      {"scan.relocate", "scan.relocate_seconds"},
-      {"scan.extend", "scan.extend_seconds"},
-      {"ld.pack", "ld.pack_seconds"},
-      {"ld.kernel", "ld.kernel_seconds"},
-  };
-  for (const auto& [stage_name, hist_name] : reconciled) {
+  // One util::StageScope feeds each stage's perf group and its seconds
+  // histogram, so in the same scan-attributed telemetry delta every
+  // registered stage's scope count equals its histogram count.
+  std::size_t reconciled = 0;
+  for (const omega::util::Stage* stage : omega::util::stages()) {
     const std::uint64_t count =
-        histogram_count(result.profile.telemetry, hist_name);
-    const auto* stage = perf_stats.find(stage_name);
-    if (count == 0) continue;  // stage never ran in this configuration
-    ASSERT_NE(stage, nullptr) << stage_name;
-    EXPECT_EQ(stage->scopes, count) << stage_name;
-    EXPECT_GT(stage->task_clock_seconds, 0.0) << stage_name;
-    EXPECT_EQ(stage->cycles, 0u) << stage_name;  // fallback: no hardware
+        histogram_count(result.profile.telemetry, stage->histogram_name);
+    const auto* entry = perf_stats.find(stage->name);
+    if (count == 0) {  // stage never ran in this configuration
+      EXPECT_EQ(entry, nullptr) << stage->name;
+      continue;
+    }
+    ASSERT_NE(entry, nullptr) << stage->name;
+    EXPECT_EQ(entry->scopes, count) << stage->name;
+    EXPECT_GT(entry->task_clock_seconds, 0.0) << stage->name;
+    EXPECT_EQ(entry->cycles, 0u) << stage->name;  // fallback: no hardware
+    ++reconciled;
   }
-  // The omega search has no seconds histogram (its time lands in
-  // stages.omega_search_seconds directly); its scope count is simply the
-  // number of searches — one per scanned position here.
+  EXPECT_GE(reconciled, 5u);
+  // One search per scanned position here.
   const auto* search = perf_stats.find("scan.omega_search");
   ASSERT_NE(search, nullptr);
   EXPECT_EQ(search->scopes, result.profile.positions_scanned);
@@ -197,6 +202,105 @@ TEST_F(ForcedFallbackPerf, ScanStampsPerfBlockAndReconcilesWithStageTimers) {
   for (std::size_t i = 1; i < perf_stats.stages.size(); ++i) {
     EXPECT_LT(perf_stats.stages[i - 1].stage, perf_stats.stages[i].stage);
   }
+}
+
+// ---------------------------------------------------------------------------
+// StageProbe: every stage's sinks agree, with all of them armed
+// ---------------------------------------------------------------------------
+
+class StageProbe : public ForcedFallbackPerf {
+ protected:
+  /// Runs `scan` with tracing armed and checks, for every registered stage,
+  /// trace events == histogram samples == perf scopes in the scan's
+  /// telemetry delta. Returns the stages that ran.
+  template <typename Scan>
+  std::set<std::string> check_sinks(const char* label, Scan&& scan) {
+    namespace trace = omega::util::trace;
+    trace::enable(1 << 18);
+    const omega::core::ScanResult result = scan();
+    trace::disable();
+    const trace::TraceSnapshot events = trace::take_snapshot();
+    EXPECT_EQ(events.dropped, 0u) << label;
+    std::map<std::string, std::uint64_t> traced;
+    for (const trace::TraceEvent& event : events.events) ++traced[event.name];
+
+    std::set<std::string> ran;
+    for (const omega::util::Stage* stage : omega::util::stages()) {
+      const std::uint64_t samples =
+          histogram_count(result.profile.telemetry, stage->histogram_name);
+      const auto* perf_entry = result.profile.perf.find(stage->name);
+      const std::uint64_t scopes = perf_entry ? perf_entry->scopes : 0;
+      EXPECT_EQ(traced[stage->name], samples) << label << ' ' << stage->name;
+      EXPECT_EQ(scopes, samples) << label << ' ' << stage->name;
+      if (samples > 0) ran.insert(stage->name);
+    }
+    profile_ = result.profile;
+    return ran;
+  }
+
+  /// Histogram sum of `stage` in the last checked scan.
+  double seconds(const char* stage) const {
+    return omega::util::stage(stage).seconds_in(profile_.telemetry);
+  }
+
+  omega::core::ScanProfile profile_;
+};
+
+TEST_F(StageProbe, SinksAgree) {
+  const auto dataset = perf_dataset();
+  constexpr double kTolerance = 1e-9;
+
+  const auto streamed = check_sinks("stream", [&] {
+    omega::io::DatasetChunkReader reader(dataset);
+    omega::core::StreamScanOptions stream_options;
+    stream_options.chunk_sites = 100;
+    return omega::core::stream_scan(reader, perf_options(), stream_options);
+  });
+  for (const char* stage :
+       {"scan.reset", "scan.extend", "scan.omega_search", "ld.pack",
+        "ld.kernel", "stream.chunk_fetch", "stream.io_stall",
+        "stream.chunk_scan"}) {
+    EXPECT_EQ(streamed.count(stage), 1u) << stage;
+  }
+  const auto& stages = profile_.stages;
+  const auto& stream = profile_.stream;
+  ASSERT_GT(stream.chunks, 1u);
+  EXPECT_NEAR(seconds("scan.reset"), stages.ld_reset_seconds, kTolerance);
+  EXPECT_NEAR(seconds("scan.relocate"), stages.ld_relocate_seconds,
+              kTolerance);
+  EXPECT_NEAR(seconds("scan.extend"), stages.ld_extend_seconds, kTolerance);
+  EXPECT_NEAR(seconds("scan.omega_search"), stages.omega_search_seconds,
+              kTolerance);
+  EXPECT_NEAR(seconds("stream.chunk_fetch"), stream.io_seconds, kTolerance);
+  EXPECT_NEAR(seconds("stream.io_stall"), stream.io_stall_seconds, kTolerance);
+  EXPECT_NEAR(seconds("stream.chunk_scan"), stream.compute_seconds,
+              kTolerance);
+
+  static omega::par::ThreadPool gpu_pool(2);
+  omega::hw::HeteroProfileOptions profile_options;
+  profile_options.split = omega::core::HeteroSplit::parse("1:1:1");
+  const omega::core::HeteroConfig config =
+      omega::hw::default_hetero_config(profile_options, gpu_pool);
+  omega::core::ScannerOptions options = perf_options();
+  options.threads = 4;
+  options.hetero = &config;
+  const auto hetero = check_sinks(
+      "hetero", [&] { return omega::core::scan(dataset, options); });
+  for (const char* stage : {"scan.extend", "scan.omega_search", "gpu.dispatch",
+                            "fpga.dispatch"}) {
+    EXPECT_EQ(hetero.count(stage), 1u) << stage;
+  }
+  EXPECT_NEAR(seconds("scan.reset"), profile_.stages.ld_reset_seconds,
+              kTolerance);
+  EXPECT_NEAR(seconds("scan.relocate"), profile_.stages.ld_relocate_seconds,
+              kTolerance);
+  EXPECT_NEAR(seconds("scan.extend"), profile_.stages.ld_extend_seconds,
+              kTolerance);
+  EXPECT_NEAR(seconds("scan.omega_search"),
+              profile_.stages.omega_search_seconds, kTolerance);
+  // Both accelerator backends charge the one dispatch bucket.
+  EXPECT_NEAR(seconds("gpu.dispatch") + seconds("fpga.dispatch"),
+              profile_.stages.dispatch_seconds, kTolerance);
 }
 
 TEST_F(ForcedFallbackPerf, MetricsDocumentCarriesPerfBlock) {
